@@ -1,8 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
 Every bench regenerates one of the paper's tables or figures at a reduced
-scale (see DESIGN.md §4 for the experiment index) and prints the same
-rows/series the paper reports.  Outputs are also written to
+scale (README "Reproducing the paper" lists the experiments; the paper's
+§4-§5 define them) and prints the same rows/series the paper reports.
+Outputs are also written to
 ``benchmarks/output/`` so they can be inspected after a
 ``pytest benchmarks/ --benchmark-only`` run.
 """

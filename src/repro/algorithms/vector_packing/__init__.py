@@ -7,16 +7,14 @@ from .meta import (
     META_STRATEGY_FAMILIES,
     MetaSolver,
     meta_algorithm,
-    meta_packer,
     metahvp,
     metahvp_light,
     metavp,
     named_meta_solver,
     single_strategy_algorithm,
-    strategy_packer,
 )
 from .permutation_pack import permutation_pack, rank_from_order
-from .probe_engine import FastProbeContext, MetaProbeEngine, YieldProbeFactory
+from .probe_engine import FastProbeContext, YieldProbeFactory
 from .sorting import ALL_SORTS, NONE_SORT, SortStrategy, metric_values, order_indices
 from .state import PackingState
 from .strategies import (
@@ -41,7 +39,6 @@ __all__ = [
     "META_STRATEGY_FAMILIES",
     "FastProbeContext",
     "FusedProbeEngine",
-    "MetaProbeEngine",
     "MetaSolver",
     "NONE_SORT",
     "PP",
@@ -56,7 +53,6 @@ __all__ = [
     "hvp_light_strategies",
     "hvp_strategies",
     "meta_algorithm",
-    "meta_packer",
     "metahvp",
     "metahvp_light",
     "metavp",
@@ -68,6 +64,5 @@ __all__ = [
     "run_strategy",
     "single_strategy_algorithm",
     "solve_many",
-    "strategy_packer",
     "vp_strategies",
 ]

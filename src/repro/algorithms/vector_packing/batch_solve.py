@@ -1,29 +1,34 @@
-"""Batched solving: ``solve_many`` and the fused META* probe engine.
+"""The META* feasibility oracle and batched solving (``solve_many``).
 
-Sequential META* solving spends most of its wall-clock not in the packing
-arithmetic but in per-strategy Python dispatch: every feasibility probe
-walks the strategy list from Python, paying a kernel-call round trip
-(argument marshalling, ctypes/numba boundary) per strategy — thousands of
-round trips per instance.  :class:`FusedProbeEngine` collapses each probe
-to **one** kernel call: the strategy list is compiled once into an int64
-strategy table (packer id, item/bin order rows, window, flags) and the
-backend's fused ``probe_scan`` kernel scans it at the probed yield,
-returning the first strategy that packs together with its placement.
+Every META* algorithm (§3.5.3-3.5.5) is one feasibility oracle — "some
+strategy in the list packs the instance at yield *y*" — driven by the
+yield binary search.  :class:`FusedProbeEngine` is that oracle.  It is
+stateful: the strategy that packed the last feasible probe (``hint``) is
+tried first at the next one, then the rest in list order.  Feasibility
+does not depend on the scan order, so the certified yield is that of a
+plain in-order scan; only which succeeding strategy supplies the
+placement can differ.
 
-The engine is a drop-in :data:`~repro.algorithms.yield_search.Packer`
-with the exact observable behavior of
-:class:`~.probe_engine.MetaProbeEngine` — same placements, same certified
-yields, same ``probes``/``strategy_runs`` counters, same adaptive
-hint-first scan order — so batched and sequential solves are
-bit-identical (asserted by the cross-backend equivalence tests).
+Each probe runs the scan in one of two ways, with identical placements
+and ``probes``/``strategy_runs``/``hint`` bookkeeping:
 
-:func:`solve_many` carries a whole batch of instances through this path:
+* **fused** — the strategy list is compiled once into an int64 table
+  (packer id, item/bin order rows, window, flags) and the backend's
+  ``probe_scan`` kernel scans it in **one** call, returning the first
+  strategy that packs together with its placement;
+* **per strategy** — when the fused kernel is unavailable (the numpy
+  backend, a numba build whose fused compile failed, or a
+  Permutation-Pack key too wide for int64), the same scan order runs
+  strategy by strategy through the memoized
+  :meth:`~.probe_engine.FastProbeContext.run`.
+
+:func:`solve_many` carries a batch of instances through the engine:
 one batched kernel call builds every instance's yield-threshold tables
 (:class:`~repro.kernels.batch.BatchInstances` + ``batch_fit_thresholds``),
-then the per-instance searches run — from a thread pool when multiple
+then the per-instance searches run — from a thread pool when several
 cores are available; the ``nogil`` numba kernels and the C loops release
-the GIL for the scan itself.  Backends without a fused kernel (numpy)
-degrade per instance to the per-strategy engine, same results.
+the GIL for the scan itself.  ``MetaSolver.solve_with_hint`` is
+``solve_many`` on a one-instance batch.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +48,7 @@ from ...kernels.api import ProbeScanArgs
 from ...kernels.batch import BatchInstances
 from ..yield_search import DEFAULT_TOLERANCE, binary_search_max_yield
 from .permutation_pack import packed_codes
-from .probe_engine import MetaProbeEngine, YieldProbeFactory
+from .probe_engine import YieldProbeFactory
 from .sorting import order_indices
 from .state import capacity_tolerance
 from .strategies import BF, CP, FF, VPStrategy
@@ -52,12 +57,14 @@ __all__ = ["FusedProbeEngine", "solve_many"]
 
 
 class FusedProbeEngine:
-    """One-kernel-call-per-probe META* feasibility oracle.
+    """META* feasibility oracle for one instance.
 
+    Callable with the ``(instance, y)`` packer signature expected by
+    :func:`~repro.algorithms.yield_search.binary_search_max_yield`.
     Construction compiles the strategy list into the flat table the
     backend's ``probe_scan`` kernel consumes; ``supported`` reports
-    whether this backend/instance pair can run fused (callers fall back
-    to :class:`~.probe_engine.MetaProbeEngine` when it cannot).
+    whether this backend/instance pair runs the fused scan (otherwise
+    each probe scans strategy by strategy, same answers).
     """
 
     def __init__(self, instance: ProblemInstance,
@@ -77,7 +84,7 @@ class FusedProbeEngine:
         J = len(instance.services)
         H = len(nd)
         D = instance.services.req_agg.shape[1]
-        self._J, self._H, self._D = J, H, D
+        self._J, self._D = J, D
         self._cap_tol = np.ascontiguousarray(
             nd.aggregate + capacity_tolerance(nd.aggregate))
         self._bin_agg = np.ascontiguousarray(nd.aggregate, dtype=np.float64)
@@ -130,7 +137,7 @@ class FusedProbeEngine:
                 choose = st.packer == CP
                 cols["choose"][s] = 1 if choose else 0
                 if D ** w * (J + 1) >= 2 ** 62:
-                    overflow = True    # needs the legacy fallback
+                    overflow = True    # packed PP keys overflow int64
                 elif D == 2:
                     key = (int(cols["item"][s]), w, choose)
                     row = cfg_index.get(key)
@@ -166,10 +173,42 @@ class FusedProbeEngine:
         return placement
 
     def _probe(self, y: float) -> Optional[np.ndarray]:
-        """One fused feasibility probe."""
+        """One feasibility probe: hint first, then list order."""
         self.probes += 1
         if y > self.factory.infeasible_above:
             return None
+        hint = self.hint
+        if hint is None:
+            scan = self._scan_cold
+        else:
+            scan = np.empty(len(self.strategies), dtype=np.int64)
+            scan[0] = hint
+            scan[1:hint + 1] = self._scan_cold[:hint]
+            scan[hint + 1:] = self._scan_cold[hint + 1:]
+        if self.supported:
+            si, assignment = self.backend.probe_scan(self._scan_args(y, scan))
+        else:
+            si, assignment = self._strategy_scan(y, scan)
+        if si < 0:
+            self.strategy_runs += len(scan)
+            return None
+        self.strategy_runs += si + 1
+        self.hint = int(scan[si])
+        return assignment
+
+    def _strategy_scan(self, y: float, scan: np.ndarray
+                       ) -> Tuple[int, Optional[np.ndarray]]:
+        """The scan without the fused kernel: one strategy run at a time
+        through the memoized probe context."""
+        ctx = self.factory.probe(y)
+        for pos, s in enumerate(scan):
+            placement = ctx.run(self.strategies[s])
+            if placement is not None:
+                return pos, placement
+        return -1, None
+
+    def _scan_args(self, y: float, scan: np.ndarray) -> ProbeScanArgs:
+        """The fused kernel's inputs at yield *y*."""
         sv = self.instance.services
         J, D = self._J, self._D
         item_agg = np.ascontiguousarray(sv.req_agg + y * sv.need_agg)
@@ -199,18 +238,8 @@ class FusedProbeEngine:
         else:
             pp_order0 = np.empty((0, J), dtype=np.int64)
             pp_order1 = pp_order0
-        S = self._scan_cold.shape[0]
-        hint = self.hint
-        if hint is None:
-            scan = self._scan_cold
-        else:
-            # Hint-first, then list order — the MetaProbeEngine scan.
-            scan = np.empty(S, dtype=np.int64)
-            scan[0] = hint
-            scan[1:hint + 1] = self._scan_cold[:hint]
-            scan[hint + 1:] = self._scan_cold[hint + 1:]
         cols = self._cols
-        si, assignment = self.backend.probe_scan(ProbeScanArgs(
+        return ProbeScanArgs(
             item_agg=item_agg, item_agg_sum=item_agg_sum, elem_ok=elem_ok,
             cap_tol=self._cap_tol, bin_agg=self._bin_agg,
             bin_agg_sum=self._bin_agg_sum, item_orders=item_orders,
@@ -219,24 +248,7 @@ class FusedProbeEngine:
             pp_order1=pp_order1, st_packer=cols["packer"],
             st_item=cols["item"], st_bin=cols["bin"],
             st_hetero=cols["hetero"], st_w=cols["w"],
-            st_choose=cols["choose"], st_cfg=cols["cfg"], scan=scan))
-        if si < 0:
-            self.strategy_runs += S
-            return None
-        self.strategy_runs += si + 1
-        self.hint = int(scan[si])
-        return assignment
-
-
-def _make_engine(instance: ProblemInstance,
-                 strategies: Sequence[VPStrategy],
-                 factory: Optional[YieldProbeFactory]):
-    """Fused engine when the backend/instance pair supports it, else the
-    per-strategy adaptive engine — identical observable behavior."""
-    engine = FusedProbeEngine(instance, strategies, factory)
-    if engine.supported:
-        return engine
-    return MetaProbeEngine(instance, strategies, engine.factory)
+            st_choose=cols["choose"], st_cfg=cols["cfg"], scan=scan)
 
 
 def _batched_factories(
@@ -284,9 +296,10 @@ def solve_many(
 ) -> List[Optional[Allocation]]:
     """Solve a batch of instances with one META* strategy list.
 
-    Equivalent to (and bit-identical with) a loop of per-instance
-    ``MetaSolver.solve_with_hint`` calls, but with shared batched
-    precomputation and one fused kernel call per probe.  *hints* and
+    Each instance's result is bit-identical to solving it alone (a
+    one-instance batch, which is what ``MetaSolver.solve_with_hint``
+    runs); a larger batch shares the threshold precomputation and may
+    spread the searches over threads.  *hints* and
     *stats* are per-instance, parallel to *instances*; each stats dict is
     filled by the yield search and additionally receives ``seconds``
     (this instance's solve wall-clock).  *threads* caps the worker pool
@@ -307,19 +320,15 @@ def solve_many(
             factories = _batched_factories(instances)
         else:
             factories = [None] * B  # engines build their own
-        engines = [_make_engine(inst, strategies, factories[i])
-                   for i, inst in enumerate(instances)]
-        fused = sum(1 for e in engines if isinstance(e, FusedProbeEngine))
-        if obs.enabled():
-            sp.annotate(batch=B, backend=backend.name,
-                        dim=(dims.pop() if len(dims) == 1 else None),
-                        fused=fused)
+        fused = [False] * B
 
         def solve_one(i: int) -> Optional[Allocation]:
             st = stats[i] if stats is not None else {}
             start = time.perf_counter()
+            engine = FusedProbeEngine(instances[i], strategies, factories[i])
+            fused[i] = engine.supported
             alloc = binary_search_max_yield(
-                instances[i], engines[i], tolerance=tolerance,
+                instances[i], engine, tolerance=tolerance,
                 improve=improve,
                 hint=None if hints is None else hints[i], stats=st)
             st["seconds"] = time.perf_counter() - start
@@ -332,4 +341,8 @@ def solve_many(
                 results = list(pool.map(solve_one, range(B)))
         else:
             results = [solve_one(i) for i in range(B)]
+        if obs.enabled():
+            sp.annotate(batch=B, backend=backend.name,
+                        dim=(dims.pop() if len(dims) == 1 else None),
+                        fused=sum(fused))
     return results

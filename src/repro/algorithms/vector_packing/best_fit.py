@@ -15,10 +15,9 @@ Best-Fit contributing only the 11 item sorts.
 The per-item scoring loop dispatches to the active kernel backend
 (:mod:`repro.kernels`); ``load_sum`` is maintained incrementally in all
 of them, so scores cost O(H) per item instead of a fresh (H, D)
-reduction.  The accumulation order differs from the legacy reduction, so
-scores can drift by an ULP; an exact cross-bin score tie could then break
-toward a different (equally loaded) bin.  Engine equivalence is asserted
-on certified yields, which absorbs this.
+reduction.  The accumulation order differs from the fresh reduction of
+:mod:`.legacy`, so scores can drift by an ULP; an exact cross-bin score
+tie could then break toward a different (equally loaded) bin.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ items already on *h*, a decision independent of every other bin.  Filling
 one bin greedily in item order is then a straight scan.  The scan
 dispatches to the active kernel backend for any dimension count
 (:mod:`repro.kernels`: numpy scalar loop, numba JIT, or native C — all
-bit-identical); backend choice never depends on D.  The seed per-item
-kernel survives in :mod:`.legacy` as the equivalence baseline.
+bit-identical); backend choice never depends on D.  The plain per-item
+loop lives in :mod:`.legacy` as the reference this kernel is tested
+against.
 """
 
 from __future__ import annotations

@@ -1,17 +1,20 @@
-"""Seed-faithful packer kernels, kept as the equivalence/perf baseline.
+"""Plain reference packer kernels.
 
-These are the pre-probe-engine-v2 loop structures: First-Fit and Best-Fit
+These are the straightforward loop structures: First-Fit and Best-Fit
 re-derive their fit masks and scores from scratch for every item, and
 Permutation-Pack recomputes the per-item dimension permutation and runs a
-full ``np.lexsort`` for every single placement.  The vectorized kernels in
+full ``np.lexsort`` for every single placement.  The kernels in
 :mod:`.first_fit`, :mod:`.best_fit` and :mod:`.permutation_pack` must
-produce the same placements; tests and the META* microbenchmark
-(`benchmarks/test_bench_meta_speed.py`) compare against these.
+produce the same placements; ``tests/algorithms/test_probe_engine.py``
+compares them against these.
 
-Both tie-order and tolerance semantics come from the shared
-:class:`~.state.PackingState` / :mod:`.sorting` code, so the two bugfixes
-of this PR (stable descending sorts, unified feasibility tolerance) apply
-to the legacy kernels too — the baseline is *correct but slow*.
+:func:`legacy_permutation_pack` is also the only Permutation-Pack path
+when the packed selection keys would overflow int64
+(``D**w * (J + 1) >= 2**62``).
+
+Tie-order and tolerance semantics come from the shared
+:class:`~.state.PackingState` / :mod:`.sorting` code, so these kernels
+are *correct but slow*, never a different heuristic.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ __all__ = ["legacy_first_fit", "legacy_best_fit", "legacy_permutation_pack"]
 
 def legacy_first_fit(state: PackingState, item_order: np.ndarray,
                      bin_order: np.ndarray) -> bool:
-    """Seed First-Fit: one full fit-mask recomputation per item."""
+    """First-Fit with one full fit-mask recomputation per item."""
     for j in item_order:
         fits = state.bins_fitting_item(j)
         ordered_fits = fits[bin_order]
@@ -39,7 +42,7 @@ def legacy_first_fit(state: PackingState, item_order: np.ndarray,
 
 def legacy_best_fit(state: PackingState, item_order: np.ndarray,
                     by_remaining_capacity: bool) -> bool:
-    """Seed Best-Fit: a fresh ``(H, D)`` score reduction per item."""
+    """Best-Fit with a fresh ``(H, D)`` score reduction per item."""
     for j in item_order:
         fits = state.bins_fitting_item(j)
         if not fits.any():
@@ -61,7 +64,7 @@ def legacy_permutation_pack(
     choose_pack: bool = False,
     rank_bins_by_remaining: bool = False,
 ) -> bool:
-    """Seed Permutation-Pack: per-placement argsort + lexsort."""
+    """Permutation-Pack with a per-placement argsort + lexsort."""
     D = state.item_agg.shape[1]
     w = D if window is None else max(1, min(window, D))
 

@@ -15,7 +15,8 @@ Windowing: with ``window = w < D`` only the first *w* key positions are
 compared (Permutation Pack), and Choose Pack further ignores their relative
 order (compares the sorted window).  With ``w = 1`` the two coincide.
 
-Kernel notes (the seed loop survives in :mod:`.legacy`):
+Kernel notes (the plain per-placement loop lives in :mod:`.legacy`, the
+test reference and the fallback for keys too wide for int64):
 
 * the per-item dimension permutation depends only on demands, fixed for
   the probe, so it comes hoisted from ``state.item_dim_perm``;

@@ -1,12 +1,9 @@
-"""Probe-engine v2: shared work across the META* binary-search probes.
+"""Per-instance work shared across the META* binary-search probes.
 
-The METAHVP hot path is a binary search whose every probe asks "can some
-strategy pack the instance at yield *y*?".  The seed engine rebuilt a
-:class:`~.strategies.ProbeContext` from scratch per probe — two
-``(J, H, D)`` broadcasts (elementary-fit table, trivial-infeasibility
-check) plus fresh bin sort orders — and scanned the strategy list in a
-fixed order.  Demands are *affine* in the yield (``req + y·need`` with
-``need >= 0``), which this engine exploits three ways:
+The META* hot path is a binary search whose every probe asks "can some
+strategy pack the instance at yield *y*?".  Demands are *affine* in the
+yield (``req + y·need`` with ``need >= 0``), which this module exploits
+so a probe need not start from scratch:
 
 * :class:`YieldProbeFactory` precomputes, once per instance, the largest
   yield at which each (item, bin) pair still fits — elementarily and in
@@ -20,18 +17,13 @@ fixed order.  Demands are *affine* in the yield (``req + y·need`` with
   whose sort metrics happen to induce identical orders at this yield are
   answered without re-packing.
 
-* :class:`MetaProbeEngine` adaptively reorders the strategy scan: the
-  strategy that packed the last feasible probe is tried first at the next
-  one, collapsing the up-to-253-strategy scan to ~1 attempt on most
-  feasible probes.  Feasibility ("does *some* strategy pack") is
-  unchanged, so the certified yield matches the seed engine; only the
-  tie-break among succeeding strategies — and hence the returned
-  placement — may differ.
+The oracle that drives them, with its hint-first strategy scan, is
+:class:`~.batch_solve.FusedProbeEngine`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +37,6 @@ from .strategies import BF, VPStrategy, execute_strategy
 __all__ = [
     "YieldProbeFactory",
     "FastProbeContext",
-    "MetaProbeEngine",
     "affine_fit_thresholds",
 ]
 
@@ -157,77 +148,3 @@ class FastProbeContext:
                                      bin_order)
         self._outcomes[sig] = placement
         return placement
-
-
-class MetaProbeEngine:
-    """Adaptive META* feasibility oracle for one instance.
-
-    Callable with the ``(instance, y)`` packer signature expected by
-    :func:`~repro.algorithms.yield_search.binary_search_max_yield`.  The
-    engine is *stateful*: it remembers which strategy succeeded last
-    (``hint``) and tries it first on subsequent probes.
-    """
-
-    def __init__(self, instance: ProblemInstance,
-                 strategies: Sequence[VPStrategy],
-                 factory: Optional[YieldProbeFactory] = None):
-        if factory is not None and factory.instance is not instance:
-            raise ValueError("factory was built for a different instance")
-        self.strategies = tuple(strategies)
-        self.factory = factory or YieldProbeFactory(instance)
-        self.hint: Optional[int] = None
-        # Introspection counters (probes answered, strategy executions).
-        self.probes = 0
-        self.strategy_runs = 0
-        if obs.enabled():
-            obs.event("meta.engine", {
-                "strategies": len(self.strategies),
-                "backend": get_backend().name,
-                "services": len(instance.services),
-                "hosts": len(instance.nodes),
-            })
-
-    @property
-    def hint_strategy(self) -> Optional[VPStrategy]:
-        """The strategy that packed the most recent feasible probe."""
-        return None if self.hint is None else self.strategies[self.hint]
-
-    def __call__(self, instance: ProblemInstance,
-                 y: float) -> Optional[np.ndarray]:
-        if instance is not self.factory.instance:
-            raise ValueError("engine is bound to a different instance")
-        if not obs.enabled():
-            return self._probe(instance, y)
-        runs_before = self.strategy_runs
-        hint_before = self.hint
-        with obs.span("meta.probe") as sp:
-            placement = self._probe(instance, y)
-            sp.annotate(y=round(y, 6), feasible=placement is not None,
-                        strategy_runs=self.strategy_runs - runs_before,
-                        hint_hit=(placement is not None
-                                  and self.hint == hint_before
-                                  and hint_before is not None))
-        return placement
-
-    def _probe(self, instance: ProblemInstance,
-               y: float) -> Optional[np.ndarray]:
-        """One feasibility probe (the real work; tracing wraps it)."""
-        self.probes += 1
-        ctx = self.factory.probe(y)
-        if ctx is None:
-            return None
-        hint = self.hint
-        if hint is not None:
-            self.strategy_runs += 1
-            placement = ctx.run(self.strategies[hint])
-            if placement is not None:
-                return placement
-        for i, strategy in enumerate(self.strategies):
-            if i == hint:
-                continue
-            self.strategy_runs += 1
-            placement = ctx.run(strategy)
-            if placement is not None:
-                self.hint = i
-                return placement
-        return None

@@ -53,8 +53,8 @@ DEFAULT_HINT_WINDOW = 8.0
 MAX_HINT_EXPANSIONS = 4
 
 # A packer answers: "placement achieving uniform yield y, or None".  It may
-# be a plain function or a stateful callable (e.g. the adaptive
-# MetaProbeEngine, which carries a strategy hint between probes) — the
+# be a plain function or a stateful callable (e.g. the META* oracle
+# FusedProbeEngine, which carries a strategy hint between probes) — the
 # search only relies on call-by-call answers.
 Packer = Callable[[ProblemInstance, float], Optional[np.ndarray]]
 

@@ -157,10 +157,11 @@ class DynamicSimulator:
         certified yield (placers that expose ``solve_with_hint`` only —
         the META* solvers do).  Certified yields match the cold search;
         the strategy winning the final probe — and hence the placement —
-        can in principle differ (the v2 engine's usual equivalence
-        envelope; the reference workloads are asserted row-identical in
-        the tests/benchmarks).  ``search_probes``/``search_solves``
-        count the oracle work across the run.
+        can in principle differ (the META* oracle's hint-first scan may
+        pick another succeeding strategy; the reference workloads are
+        asserted row-identical in the tests/benchmarks).
+        ``search_probes``/``search_solves`` count the oracle work across
+        the run.
     failures:
         Optional :class:`~repro.dynamic.failures.PlatformSchedule`.
         ``None`` (the default) reproduces the fixed-platform behavior

@@ -112,48 +112,7 @@ class _Task:
 
 
 def _run_task(task: _Task) -> TaskResult:
-    instance = generate_instance(task.config)
-    out = []
-    hint: float | None = None
-    for name in task.algorithms:
-        algo = ALGORITHM_FACTORIES[name]()
-        fn = getattr(algo, "fn", algo)
-        if task.warm_chain and getattr(fn, "supports_hint", False):
-            # All algorithms in a task solve the *same* instance, so the
-            # best yield an earlier one certified is a strong seed for
-            # this one's binary search.  The chain stays inside the
-            # task, so results are independent of worker scheduling and
-            # checkpoint resume.  Warm and cold searches certify equal
-            # yields; the winning *strategy* at the final probe can
-            # differ, so placement-derived values may shift within the
-            # usual engine-equivalence envelope (same caveat as the v2
-            # engine's adaptive ordering).
-            stats: dict = {}
-            alloc, seconds = timed_call(
-                fn.solve_with_hint, instance, hint=hint, stats=stats)
-            certified = stats.get("certified")
-            if certified is not None and (hint is None
-                                          or certified > hint):
-                hint = certified
-        else:
-            # Stochastic algorithms get a stream derived from the
-            # instance coordinates plus the algorithm name, so
-            # adding/removing algorithms never perturbs the others'
-            # draws.
-            rng = np.random.default_rng(
-                derive_seed(task.config.seed,
-                            task.config.instance_index,
-                            _algo_stream_id(name)))
-            alloc, seconds = timed_call(algo, instance, rng=rng)
-        min_yield = None if alloc is None else alloc.minimum_yield()
-        if (not getattr(fn, "supports_hint", False)
-                and min_yield is not None
-                and (hint is None or min_yield > hint)):
-            # Non-searching algorithms only offer their (post-improve)
-            # allocation yield; still a usable advisory seed.
-            hint = min_yield
-        out.append(AlgorithmResult(name, min_yield, seconds))
-    return TaskResult(task.config, tuple(out))
+    return _run_task_batch([task])[0]
 
 
 def _algo_stream_id(name: str) -> int:
@@ -162,19 +121,17 @@ def _algo_stream_id(name: str) -> int:
 
 
 def _run_task_batch(tasks: Sequence[_Task]) -> list[TaskResult]:
-    """Run a block of tasks, batching warm solves through ``solve_many``.
+    """Run a block of tasks, batching META* solves through ``solve_many``.
 
-    Produces exactly the results of ``[_run_task(t) for t in tasks]``:
+    Each task's results are independent of the block it runs in:
     instances are generated per task, hint chains stay *within* each
     task (per instance, across the algorithm list), and stochastic
-    algorithms draw from the same coordinate-derived streams.  Only the
-    dispatch changes — for each hint-capable algorithm the whole block
-    of instances goes through one :meth:`solve_many` call, so the kernel
+    algorithms draw from coordinate-derived streams.  Only the dispatch
+    is shared — for each hint-capable algorithm the whole block of
+    instances goes through one :meth:`solve_many` call, so the kernel
     layer sees batches instead of singletons.
     """
     tasks = list(tasks)
-    if len(tasks) == 1:
-        return [_run_task(tasks[0])]
     shared = tasks[0]
     if any(t.algorithms != shared.algorithms
            or t.warm_chain != shared.warm_chain for t in tasks):
@@ -188,10 +145,13 @@ def _run_task_batch(tasks: Sequence[_Task]) -> list[TaskResult]:
     for name in shared.algorithms:
         algo = ALGORITHM_FACTORIES[name]()
         fn = getattr(algo, "fn", algo)
-        supports = getattr(fn, "supports_hint", False)
-        if supports and hasattr(fn, "solve_many"):
-            # Batched even when the warm chain is off — hints simply
-            # stay None, matching the cold per-instance calls.
+        if getattr(fn, "supports_hint", False):
+            # All algorithms in a task solve the *same* instance, so the
+            # best yield an earlier one certified is a strong seed for
+            # this one's binary search.  Warm and cold searches certify
+            # equal yields; the winning *strategy* at the final probe can
+            # differ, so placement-derived values may shift slightly.
+            # With the warm chain off the hints simply stay None.
             stats_list: list[dict] = [{} for _ in range(B)]
             allocs = fn.solve_many(
                 instances,
@@ -207,28 +167,23 @@ def _run_task_batch(tasks: Sequence[_Task]) -> list[TaskResult]:
                 min_yield = None if alloc is None else alloc.minimum_yield()
                 rows[i].append(AlgorithmResult(
                     name, min_yield, stats["seconds"]))
-        elif shared.warm_chain and supports:
-            for i in range(B):
-                stats = {}
-                alloc, seconds = timed_call(
-                    fn.solve_with_hint, instances[i], hint=hints[i],
-                    stats=stats)
-                certified = stats.get("certified")
-                if certified is not None and (hints[i] is None
-                                              or certified > hints[i]):
-                    hints[i] = certified
-                min_yield = None if alloc is None else alloc.minimum_yield()
-                rows[i].append(AlgorithmResult(name, min_yield, seconds))
         else:
             for i, task in enumerate(tasks):
+                # Stochastic algorithms get a stream derived from the
+                # instance coordinates plus the algorithm name, so
+                # adding/removing algorithms never perturbs the others'
+                # draws.
                 rng = np.random.default_rng(
                     derive_seed(task.config.seed,
                                 task.config.instance_index,
                                 _algo_stream_id(name)))
                 alloc, seconds = timed_call(algo, instances[i], rng=rng)
                 min_yield = None if alloc is None else alloc.minimum_yield()
-                if (not supports and min_yield is not None
-                        and (hints[i] is None or min_yield > hints[i])):
+                if min_yield is not None and (hints[i] is None
+                                              or min_yield > hints[i]):
+                    # Non-searching algorithms only offer their
+                    # (post-improve) allocation yield; still a usable
+                    # advisory seed.
                     hints[i] = min_yield
                 rows[i].append(AlgorithmResult(name, min_yield, seconds))
     return [TaskResult(t.config, tuple(rows[i]))
@@ -252,10 +207,10 @@ def iter_grid(configs: Iterable[ScenarioConfig],
     tasks (default ``4 × workers``) are in flight at once.
 
     With ``batch > 1``, each worker dispatch covers up to *batch*
-    consecutive tasks and warm META* solves go through the batched
-    kernel entry point (one fused kernel call per probe instead of a
-    Python strategy scan) — results, checkpoint rows, and resume
-    behavior are identical to ``batch=1`` apart from wall-clock.
+    consecutive tasks, and every META* solve of a block goes through one
+    ``solve_many`` call (shared threshold precomputation, a thread pool)
+    — results, checkpoint rows, and resume behavior are identical to
+    ``batch=1`` apart from wall-clock.
 
     With *checkpoint* (a JSONL path or an open
     :class:`~.persistence.ResultStore`), every completed result is

@@ -1,17 +1,19 @@
 """Pluggable kernel backends for the packing hot paths.
 
 The vector packers (:mod:`repro.algorithms.vector_packing`), the probe
-factory and the dynamic simulator dispatch their scalar inner loops
-through a process-wide :class:`~.api.KernelBackend`:
+factory, the META* oracle and the dynamic simulator dispatch their
+scalar inner loops through a process-wide :class:`~.api.KernelBackend`:
 
 ``numpy``
-    Always available — the PR-3 pure numpy/Python fast paths, moved here.
+    Always available — pure numpy/Python fast paths.  It has no fused
+    probe scan, so the META* oracle runs its strategy scan one packer
+    call at a time on it.
 ``numba``
-    ``@njit(cache=True)`` ports of the same loops; needs the optional
-    ``numba`` extra.
+    ``@njit(cache=True)`` ports of the same loops, plus the fused probe
+    scan; needs the optional ``numba`` extra.
 ``native``
-    The same loops as C, compiled on demand with the system compiler and
-    cached; needs a working ``cc``.
+    The same loops and the fused probe scan as C, compiled on demand
+    with the system compiler and cached; needs a working ``cc``.
 ``loops``
     The uncompiled jittable source (:mod:`._loops`) — the slow reference
     the compiled backends are diffed against; useful for debugging only.

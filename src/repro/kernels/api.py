@@ -17,7 +17,9 @@ and the dynamic simulator dispatch to (see :mod:`repro.kernels`):
   the dynamic simulator's newcomer placement;
 * optionally ``probe_scan(args)`` — the fused META* feasibility probe
   (one call scans a whole strategy table; advertised via
-  ``supports_probe_scan``).
+  ``supports_probe_scan``).  Without it the META* oracle
+  (:class:`~repro.algorithms.vector_packing.FusedProbeEngine`) runs the
+  same scan through the packer kernels above, one strategy at a time.
 
 All implementations are *bit-compatible*: identical placements, loads and
 threshold tables for identical inputs (asserted by the cross-backend

@@ -3,7 +3,8 @@
 The paper used GLPK/CPLEX; we use scipy's bundled HiGHS, which exposes both
 a branch-and-bound MILP (``scipy.optimize.milp``) and an LP solver.  Both
 consume the :class:`~repro.lp.formulation.MilpFormulation` matrices
-unchanged — the substitution is solver-for-solver (see DESIGN.md §3).
+unchanged — the substitution is solver-for-solver (the paper's §3,
+Eq. 1-7).
 """
 
 from __future__ import annotations

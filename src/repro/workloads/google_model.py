@@ -4,8 +4,8 @@ The paper instantiates service resource descriptors from the 2010 Google
 cluster dataset [19], which exposes two marginals per task: the **number of
 requested cores** and the **fraction of system memory used**.  The dataset
 itself is not redistributable here, so we model the two marginals directly
-(see DESIGN.md §3 for the substitution argument — both marginals are
-rescaled downstream, so only their *shapes* influence the experiments):
+(both marginals are rescaled downstream by :mod:`.scaling`, as in the
+paper's §4, so only their *shapes* influence the experiments):
 
 * requested cores concentrate on small powers of two, dominated by
   single-core tasks (the published trace analyses report a heavily skewed

@@ -1,9 +1,10 @@
-"""Tests for the shared-probe META* engine (probe-engine v2).
+"""Tests for the META* oracle and the per-instance work it shares.
 
 Covers: the per-instance yield-threshold tables against directly-computed
-per-probe state, engine v1/v2 certified-yield equivalence, adaptive
-strategy ordering, outcome memoization, the legacy-vs-vectorized kernel
-equivalence, and the packer/validator tolerance unification.
+per-probe state, certified-yield equivalence with an in-order reference
+oracle (a fresh ``ProbeContext`` per probe), adaptive strategy ordering,
+outcome memoization, the reference-vs-vectorized kernel equivalence, and
+the packer/validator tolerance unification.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from repro.algorithms.vector_packing import (
     FastProbeContext,
-    MetaProbeEngine,
+    FusedProbeEngine,
     PackingState,
     ProbeContext,
     SortStrategy,
@@ -38,6 +39,21 @@ from repro.algorithms.yield_search import (
 from repro.core import Allocation, Node, ProblemInstance, Service
 from repro.core.resources import FEASIBILITY_ATOL
 from repro.workloads import ScenarioConfig, generate_instance
+
+
+def in_order_oracle(strategies):
+    """Reference META* oracle: a fresh ProbeContext per probe, strategies
+    tried in list order, nothing carried between probes."""
+
+    def pack(instance, y):
+        ctx = ProbeContext(instance, y)
+        for strategy in strategies:
+            placement = ctx.run(strategy)
+            if placement is not None:
+                return placement
+        return None
+
+    return pack
 
 
 def random_instance(seed, hosts=6, services=16):
@@ -93,8 +109,8 @@ class TestYieldProbeFactory:
     def test_rejects_foreign_factory(self):
         a, b = random_instance(0), random_instance(1)
         with pytest.raises(ValueError):
-            MetaProbeEngine(a, hvp_light_strategies(),
-                            factory=YieldProbeFactory(b))
+            FusedProbeEngine(a, hvp_light_strategies(),
+                             factory=YieldProbeFactory(b))
 
 
 class TestFastProbeContext:
@@ -126,6 +142,8 @@ class TestFastProbeContext:
 
 
 class TestEngineEquivalence:
+    """The engine certifies the yields of the in-order reference oracle."""
+
     GRID = [ScenarioConfig(hosts=6, services=18, cov=cov, slack=slack,
                            seed=2012, instance_index=0)
             for cov in (0.25, 0.75) for slack in (0.4, 0.7)]
@@ -133,38 +151,32 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("cfg", GRID, ids=lambda c: c.label())
     def test_metahvp_certified_yields_match(self, cfg):
         inst = generate_instance(cfg)
-        v1 = meta_algorithm("M", hvp_strategies(), improve=False,
-                            engine="v1")(inst)
-        v2 = meta_algorithm("M", hvp_strategies(), improve=False,
-                            engine="v2")(inst)
-        assert (v1 is None) == (v2 is None)
-        if v1 is not None:
-            assert v2.minimum_yield() == pytest.approx(
-                v1.minimum_yield(), abs=DEFAULT_TOLERANCE)
+        ref = binary_search_max_yield(
+            inst, in_order_oracle(hvp_strategies()), improve=False)
+        got = meta_algorithm("M", hvp_strategies(), improve=False)(inst)
+        assert (ref is None) == (got is None)
+        if ref is not None:
+            assert got.minimum_yield() == pytest.approx(
+                ref.minimum_yield(), abs=DEFAULT_TOLERANCE)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_single_strategy_engines_agree(self, seed):
         inst = random_instance(seed, hosts=5, services=12)
         for strategy in hvp_strategies()[::41]:
-            v1 = meta_algorithm("s", (strategy,), improve=False,
-                                engine="v1")(inst)
-            v2 = meta_algorithm("s", (strategy,), improve=False,
-                                engine="v2")(inst)
-            assert (v1 is None) == (v2 is None)
-            if v1 is not None:
-                assert v2.minimum_yield() == pytest.approx(
-                    v1.minimum_yield(), abs=DEFAULT_TOLERANCE)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            meta_algorithm("x", hvp_light_strategies(), engine="v3")
+            ref = binary_search_max_yield(
+                inst, in_order_oracle((strategy,)), improve=False)
+            got = meta_algorithm("s", (strategy,), improve=False)(inst)
+            assert (ref is None) == (got is None)
+            if ref is not None:
+                assert got.minimum_yield() == pytest.approx(
+                    ref.minimum_yield(), abs=DEFAULT_TOLERANCE)
 
 
 class TestAdaptiveOrdering:
     def test_hint_collapses_feasible_probe_scans(self):
         inst = random_instance(11, hosts=8, services=20)
         strategies = hvp_strategies()
-        engine = MetaProbeEngine(inst, strategies)
+        engine = FusedProbeEngine(inst, strategies)
         alloc = binary_search_max_yield(inst, engine)
         assert alloc is not None
         assert engine.hint is not None
@@ -176,19 +188,18 @@ class TestAdaptiveOrdering:
 
     def test_stateful_engine_answers_match_stateless_oracle(self):
         """The hint must never change a probe's feasibility answer."""
-        from repro.algorithms.vector_packing.meta import meta_packer
         inst = random_instance(13)
         strategies = hvp_light_strategies()
-        engine = MetaProbeEngine(inst, strategies)
-        seed_oracle = meta_packer(strategies)
+        engine = FusedProbeEngine(inst, strategies)
+        reference = in_order_oracle(strategies)
         for y in np.linspace(0.0, 1.0, 15):
             fast = engine(inst, float(y))
-            slow = seed_oracle(inst, float(y))
+            slow = reference(inst, float(y))
             assert (fast is None) == (slow is None)
 
 
 class TestKernelEquivalence:
-    """Vectorized kernels must place exactly like the seed kernels."""
+    """Vectorized kernels must place exactly like the reference kernels."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_first_fit(self, seed):

@@ -214,7 +214,7 @@ class TestWarmStartMetaEngine:
 
     def test_equivalence_and_probe_reduction(self):
         from repro.algorithms.vector_packing import (
-            MetaProbeEngine,
+            FusedProbeEngine,
             hvp_light_strategies,
         )
         from repro.workloads import ScenarioConfig, generate_instance
@@ -228,11 +228,11 @@ class TestWarmStartMetaEngine:
                     seed=seed, instance_index=0))
                 sc, sw = {}, {}
                 cold = binary_search_max_yield(
-                    inst, MetaProbeEngine(inst, strategies),
+                    inst, FusedProbeEngine(inst, strategies),
                     improve=False, stats=sc)
                 assert cold is not None
                 warm = binary_search_max_yield(
-                    inst, MetaProbeEngine(inst, strategies),
+                    inst, FusedProbeEngine(inst, strategies),
                     improve=False, hint=sc["certified"], stats=sw)
                 assert warm.minimum_yield() == cold.minimum_yield()
                 assert (warm.placement == cold.placement).all()

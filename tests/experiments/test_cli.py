@@ -101,3 +101,18 @@ class TestMainSmoke:
         with pytest.raises(SystemExit):
             main(["--workload", "bogus", "table1"])
         assert "unknown workload" in capsys.readouterr().err
+
+
+def test_python_dash_m_repro_help():
+    """``python -m repro`` runs the CLI, like the ``repro`` script."""
+    import subprocess
+    import sys
+
+    root = os.path.join(os.path.dirname(__file__), "..", "..")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    proc = subprocess.run([sys.executable, "-m", "repro", "--help"],
+                          cwd=root, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout

@@ -103,7 +103,7 @@ class TestWarmStart:
     def test_warm_yields_within_engine_envelope(self, warm, cold):
         """Single strategies are not always monotone, so warm and cold
         may certify slightly different yields (the same envelope as the
-        v2 engine's adaptive ordering) — but only slightly, and for few
+        engine's adaptive ordering) — but only slightly, and for few
         strategies."""
         warm_by_name = {s.strategy.name: s for s in warm.stats}
         moved = 0
@@ -129,3 +129,14 @@ class TestWarmStart:
         after = len(JsonlCheckpoint(path, kind="strategy-rank",
                                     resume=True))
         assert after == before + 253  # everything recomputed, nothing aliased
+
+
+def test_fingerprint_stable_across_engine_field_removal():
+    """Checkpoints written while the fingerprint still hashed an engine
+    field ("v2") must keep resuming; these values come from that code."""
+    from repro.experiments.strategy_ranking import _configs_fingerprint
+    configs = [ScenarioConfig(hosts=8, services=20, cov=cov, slack=0.5,
+                              seed=2012, instance_index=0)
+               for cov in (0.25, 0.75)]
+    assert _configs_fingerprint(configs, True) == "0aba8152f294"
+    assert _configs_fingerprint(configs, False) == "b81fb3ffbe6c"

@@ -4,7 +4,9 @@ The acceptance contract of the batched path: for every backend and every
 dimension count, ``MetaSolver.solve_many`` returns exactly what a loop
 of ``solve_with_hint`` calls returns — placements, per-service yields,
 certified yields, probe counts — with hints honored the same way.  The
-numba leg skips cleanly when the extra isn't installed.
+fused probe scan must match the per-strategy scan of the numpy backend
+probe by probe.  The numba leg skips cleanly when the extra isn't
+installed.
 """
 
 import numpy as np
@@ -14,9 +16,11 @@ from repro import kernels
 from repro.algorithms.vector_packing import (
     FusedProbeEngine,
     MetaSolver,
+    ProbeContext,
     hvp_light_strategies,
     hvp_strategies,
 )
+from repro.algorithms.yield_search import binary_search_max_yield
 from repro.core.instance import ProblemInstance
 from repro.core.node import NodeArray
 from repro.core.service import ServiceArray
@@ -145,6 +149,23 @@ class TestSolveManyEquivalence:
             got = solver.solve_many(instances, stats=bstats, threads=1)
         _assert_equivalent(got, bstats, ref, rstats, backend)
 
+    @pytest.mark.parametrize("hint", (None, 0.5))
+    def test_solve_with_hint_is_one_instance_batch(self, backend, hint):
+        inst = synthetic_instance(2, J=12, H=4, seed=3)
+        solver = MetaSolver(hvp_light_strategies())
+        with kernels.kernel_backend(backend):
+            one_stats: dict = {}
+            one = solver.solve_with_hint(inst, hint=hint, stats=one_stats)
+            many_stats = [{}]
+            many = solver.solve_many([inst], hints=[hint],
+                                     stats=many_stats)[0]
+        assert one is not None and many is not None
+        assert np.array_equal(one.placement, many.placement)
+        assert np.array_equal(one.yields, many.yields)
+        for key in ("probes", "certified", "hint_used"):
+            assert one_stats[key] == many_stats[0][key], key
+        assert one_stats["hint_used"] == (hint is not None)
+
     def test_thread_pool_preserves_order(self, backend):
         instances = [synthetic_instance(2, J=8 + k, H=3, seed=k)
                      for k in range(6)]
@@ -169,24 +190,28 @@ class TestFusedEngine:
                 kernels.get_backend().supports_probe_scan
 
     def test_counters_match_per_strategy_engine(self, backend):
-        """probes/strategy_runs/hint bookkeeping is part of the contract."""
-        from repro.algorithms.vector_packing import MetaProbeEngine
+        """The fused scan answers each probe like the numpy backend's
+        per-strategy scan: placement, hint, probes and strategy_runs."""
         inst = synthetic_instance(3, J=12, H=4, seed=2)
         strategies = hvp_light_strategies()
+        with kernels.kernel_backend("numpy"):
+            plain = FusedProbeEngine(inst, strategies)
+        assert not plain.supported
         with kernels.kernel_backend(backend):
             fused = FusedProbeEngine(inst, strategies)
-            if not fused.supported:
-                pytest.skip("backend has no fused probe scan")
-            plain = MetaProbeEngine(inst, strategies)
-            for y in (0.0, 0.3, 0.7, 0.3, 1.4):
+        if not fused.supported:
+            pytest.skip("backend has no fused probe scan")
+        for y in (0.0, 0.3, 0.7, 0.3, 1.4):
+            with kernels.kernel_backend(backend):
                 a = fused(inst, y)
+            with kernels.kernel_backend("numpy"):
                 b = plain(inst, y)
-                assert (a is None) == (b is None), y
-                if a is not None:
-                    assert np.array_equal(a, b), y
-                assert fused.hint == plain.hint, y
-                assert fused.probes == plain.probes, y
-                assert fused.strategy_runs == plain.strategy_runs, y
+            assert (a is None) == (b is None), y
+            if a is not None:
+                assert np.array_equal(a, b), y
+            assert fused.hint == plain.hint, y
+            assert fused.probes == plain.probes, y
+            assert fused.strategy_runs == plain.strategy_runs, y
 
 
 class TestSolveManyEdgeCases:
@@ -211,16 +236,26 @@ class TestSolveManyEdgeCases:
         batch = solver.solve_many(instances, stats=bstats, threads=1)
         _assert_equivalent(batch, bstats, seq, sstats, "mixed-dims")
 
-    def test_v1_engine_sequential_fallback(self):
+    def test_matches_in_order_reference(self):
+        """Batched certified yields equal those of a reference oracle with
+        a fresh ProbeContext per probe and strategies in list order."""
         instances = [generate_instance(ScenarioConfig(
             hosts=5, services=12, slack=0.5, seed=8, instance_index=i))
             for i in range(2)]
-        v1 = MetaSolver(hvp_light_strategies(), engine="v1")
-        v2 = MetaSolver(hvp_light_strategies(), engine="v2")
-        r1 = v1.solve_many(instances, threads=1)
-        r2 = v2.solve_many(instances, threads=1)
-        for a, b in zip(r1, r2):
+        strategies = hvp_light_strategies()
+
+        def in_order(instance, y):
+            ctx = ProbeContext(instance, y)
+            for strategy in strategies:
+                placement = ctx.run(strategy)
+                if placement is not None:
+                    return placement
+            return None
+
+        ref = [binary_search_max_yield(inst, in_order)
+               for inst in instances]
+        got = MetaSolver(strategies).solve_many(instances, threads=1)
+        for a, b in zip(ref, got):
             assert (a is None) == (b is None)
             if a is not None:
-                # v1/v2 certify equal yields (engine-equivalence envelope).
                 assert a.minimum_yield() == b.minimum_yield()

@@ -13,7 +13,7 @@ import pytest
 
 from repro import kernels
 from repro.algorithms.vector_packing import (
-    MetaProbeEngine,
+    FusedProbeEngine,
     YieldProbeFactory,
     hvp_light_strategies,
     hvp_strategies,
@@ -181,10 +181,10 @@ class TestBitEquivalence:
             inst = generate_instance(cfg)
             with kernels.kernel_backend("numpy"):
                 ref = binary_search_max_yield(
-                    inst, MetaProbeEngine(inst, strategies), improve=False)
+                    inst, FusedProbeEngine(inst, strategies), improve=False)
             with kernels.kernel_backend(backend):
                 got = binary_search_max_yield(
-                    inst, MetaProbeEngine(inst, strategies), improve=False)
+                    inst, FusedProbeEngine(inst, strategies), improve=False)
             if ref is None:
                 assert got is None, cfg
             else:
