@@ -10,11 +10,15 @@ Outputs are also written to
 
 from __future__ import annotations
 
+import json
 import os
+import platform
 
+import numpy as np
 import pytest
 
-OUTPUT_DIR = os.path.join(os.path.dirname(__file__), "output")
+BENCH_DIR = os.path.dirname(__file__)
+OUTPUT_DIR = os.path.join(BENCH_DIR, "output")
 
 
 @pytest.fixture(scope="session")
@@ -33,3 +37,32 @@ def emit(output_dir):
             fh.write(text + "\n")
 
     return _emit
+
+
+@pytest.fixture(scope="session")
+def write_bench(output_dir):
+    """Write a ``BENCH_*.json`` record stamped with the host it ran on.
+
+    ``write_bench(name, record)`` adds a ``host`` object (CPU count,
+    platform, Python, numpy, active kernel backend) and writes the record
+    to ``benchmarks/output/<name>``; with ``REPRO_BENCH_UPDATE`` set it
+    also refreshes the committed baseline ``benchmarks/<name>``.
+    """
+    from repro import kernels
+    static = {"cpu_count": os.cpu_count(),
+              "platform": platform.platform(),
+              "python": platform.python_version(),
+              "numpy": np.__version__}
+
+    def _write(name: str, record: dict) -> None:
+        host = {**static, "kernel_backend": kernels.current_backend_name()}
+        record = {**record, "host": host}
+        paths = [os.path.join(output_dir, name)]
+        if os.environ.get("REPRO_BENCH_UPDATE"):
+            paths.append(os.path.join(BENCH_DIR, name))
+        for path in paths:
+            with open(path, "w") as fh:
+                json.dump(record, fh, indent=2)
+                fh.write("\n")
+
+    return _write

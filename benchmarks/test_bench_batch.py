@@ -43,7 +43,6 @@ from repro.experiments.table1 import DEFAULT_TABLE1_ALGORITHMS
 from repro.experiments.table2 import DEFAULT_TABLE2_ALGORITHMS
 from repro.workloads import ScenarioConfig, generate_instance
 
-BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_batch.json")
 
 #: Same-run acceptance floor: batched METAHVP sweep vs the sequential
 #: per-strategy scan (the reference machine records ~5-10x).
@@ -122,10 +121,9 @@ def grid_walls(sweep):
     meta_seconds = {}
     for label, algos in (("table1", DEFAULT_TABLE1_ALGORITHMS),
                          ("table2", DEFAULT_TABLE2_ALGORITHMS)):
-        warm = label == "table1"  # table2 times standalone solves
         t0 = time.perf_counter()
         results = run_grid(QUICK_GRID.configs(), algos, workers=1,
-                           warm_chain=warm, batch=GRID_BATCH)
+                           batch=GRID_BATCH)
         walls[label] = time.perf_counter() - t0
         per = defaultdict(float)
         for task in results:
@@ -136,7 +134,8 @@ def grid_walls(sweep):
     return {"walls": walls, "meta_solve_seconds": meta_seconds}
 
 
-def test_batch_speedup_and_record(sweep, grid_walls, emit, output_dir):
+def test_batch_speedup_and_record(sweep, grid_walls, emit, write_bench,
+                                  output_dir):
     seq = sweep["sequential"]["seconds"]
     bat = sweep["batched"]["seconds"]
     speedup = seq / bat
@@ -171,13 +170,12 @@ def test_batch_speedup_and_record(sweep, grid_walls, emit, output_dir):
                      "batched META* share"),
         },
     }
-    with open(os.path.join(output_dir, "BENCH_batch.json"), "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    if os.environ.get("REPRO_BENCH_UPDATE"):
-        with open(BASELINE_PATH, "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+    write_bench("BENCH_batch.json", record)
+    with open(os.path.join(output_dir, "BENCH_batch.json")) as fh:
+        host = json.load(fh)["host"]
+    assert host["cpu_count"] == os.cpu_count()
+    assert host["kernel_backend"] == sweep["backend"]
+    assert {"platform", "python", "numpy"} <= host.keys()
 
     if not sweep["fused"]:
         pytest.skip("backend has no fused probe scan; no speedup to gate")

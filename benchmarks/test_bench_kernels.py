@@ -29,8 +29,6 @@ Refresh the committed baseline after an intentional change with::
     REPRO_BENCH_UPDATE=1 python -m pytest benchmarks/test_bench_kernels.py
 """
 
-import json
-import os
 import time
 
 import pytest
@@ -43,7 +41,6 @@ from repro.dynamic import DynamicSimulator, generate_trace
 from repro.experiments.report import format_table
 from repro.workloads import ScenarioConfig, generate_instance, generate_platform
 
-BASELINE_PATH = os.path.join(os.path.dirname(__file__), "BENCH_kernels.json")
 
 #: Compiled-backend acceptance floor on the METAHVP sweep (same-run
 #: ratio vs the numpy backend; the reference machine records ~3.4×).
@@ -138,7 +135,7 @@ def test_warm_start_probe_reduction(warm_dynamic):
         f"(floor {MIN_PROBE_REDUCTION}x)")
 
 
-def test_kernel_speedup_and_record(sweep, warm_dynamic, emit, output_dir):
+def test_kernel_speedup_and_record(sweep, warm_dynamic, emit, write_bench):
     totals = {name: sum(r["seconds"] for r in rows)
               for name, rows in sweep.items()}
     compiled = {n: s for n, s in totals.items() if n != "numpy"}
@@ -176,13 +173,7 @@ def test_kernel_speedup_and_record(sweep, warm_dynamic, emit, output_dir):
             "identical_metrics": warm["rows"] == cold["rows"],
         },
     }
-    with open(os.path.join(output_dir, "BENCH_kernels.json"), "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    if os.environ.get("REPRO_BENCH_UPDATE"):
-        with open(BASELINE_PATH, "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+    write_bench("BENCH_kernels.json", record)
 
     if not compiled:
         pytest.skip("no compiled kernel backend available here")

@@ -89,7 +89,7 @@ def test_engine_certifies_frozen_v1_yields(sweep, baseline):
             assert y2 == pytest.approx(y1, abs=DEFAULT_TOLERANCE), row["label"]
 
 
-def test_work_gate_and_record(sweep, baseline, emit, output_dir):
+def test_work_gate_and_record(sweep, baseline, emit, write_bench):
     total = sum(r["seconds_v2"] for r in sweep)
     total_runs = sum(r["strategy_runs_v2"] for r in sweep)
 
@@ -121,14 +121,7 @@ def test_work_gate_and_record(sweep, baseline, emit, output_dir):
                           "v2": round(total, 3)},
         "strategy_runs_v2": total_runs,
     }
-    with open(os.path.join(output_dir, "BENCH_meta.json"), "w") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-
-    if os.environ.get("REPRO_BENCH_UPDATE"):
-        with open(BASELINE_PATH, "w") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+    write_bench("BENCH_meta.json", record)
 
     ceiling = MAX_WORK_GROWTH * baseline["strategy_runs_v2"]
     assert total_runs <= ceiling, (

@@ -44,12 +44,13 @@ class MetaSolver:
     The plain call signature matches every other placement algorithm;
     :meth:`solve_with_hint` additionally accepts an advisory *hint* (a
     guess at the certified yield — e.g. the previous epoch's answer in a
-    dynamic simulation, or a sibling solve on the same instance) that the
-    binary search uses to shrink its probe count, plus a *stats* dict the
-    search fills with ``probes`` and ``certified`` (see
+    dynamic simulation) that the binary search uses to shrink its probe
+    count, plus a *stats* dict the search fills with ``probes`` and
+    ``certified`` (see
     :func:`~repro.algorithms.yield_search.binary_search_max_yield`).
-    Hints are advisory only: a warm solve certifies the same yield a cold
-    one does (equivalence-tested), just in fewer probes.
+    Hints are advisory, but the META* oracle is not monotone, so a warm
+    solve may certify a different yield than a cold one: pass hints only
+    from the same or a nearby instance.
     """
 
     #: Drivers test for this attribute before passing hints.

@@ -104,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--window", type=int, default=None,
                         help="max tasks in flight (default: 4 x workers)")
     parser.add_argument("--batch", type=int, default=1,
-                        help="tasks per worker dispatch; >1 routes warm "
-                             "META* solves through the batched kernel "
+                        help="tasks per worker dispatch; >1 routes the "
+                             "block's META* solves through the batched kernel "
                              "entry point (same results, less per-solve "
                              "overhead)")
     parser.add_argument("--progress", action="store_true",
@@ -170,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     rk.add_argument("--hosts", type=int, default=8)
     rk.add_argument("--instances", type=int, default=4)
     rk.add_argument("--top", type=int, default=25)
-    rk.add_argument("--no-warm-start", dest="warm_start",
-                    action="store_false",
-                    help="disable the per-strategy hint chain (every "
-                         "config's yield search runs cold)")
 
     dy = sub.add_parser("dynamic",
                         help="dynamic hosting simulation (future-work)")
@@ -474,8 +470,7 @@ def _spec_rank_strategies(args) -> tuple[ExperimentSpec, str]:
         for cov in (0.25, 0.75)
         for idx in range(max(1, args.instances // 2))
     ]
-    spec = strategy_ranking_experiment(configs, warm_start=args.warm_start,
-                                       top_n=args.top)
+    spec = strategy_ranking_experiment(configs, top_n=args.top)
     return spec, "strategy-ranking"
 
 

@@ -136,8 +136,10 @@ def _run_instance(task: _InstanceTask) -> Optional[dict[str, dict[float, float]]
 
     # Every perturbed solve below re-packs the *same* platform with mildly
     # rescaled needs, so each search is seeded with the best yield seen so
-    # far for this instance (warm ≡ cold results, ~2-4× fewer probes; the
-    # chain is per-task, so checkpoint resume is unaffected).
+    # far for this instance (~2-4× fewer probes).  The META* oracle is not
+    # monotone, so a seeded search need not certify the cold yield; the
+    # chain is per-task, so results depend on the task alone and
+    # checkpoint resume is unaffected.
     hint = ideal
     for e_idx, err in enumerate(spec.error_values):
         rng = np.random.default_rng(

@@ -105,10 +105,6 @@ class TaskResult:
 class _Task:
     config: ScenarioConfig
     algorithms: tuple[str, ...]
-    #: Seed each warm-capable solve with the best yield an earlier
-    #: algorithm certified on the same instance.  Off for timing tables,
-    #: which must measure standalone solves.
-    warm_chain: bool = True
 
 
 def _run_task(task: _Task) -> TaskResult:
@@ -123,50 +119,35 @@ def _algo_stream_id(name: str) -> int:
 def _run_task_batch(tasks: Sequence[_Task]) -> list[TaskResult]:
     """Run a block of tasks, batching META* solves through ``solve_many``.
 
-    Each task's results are independent of the block it runs in:
-    instances are generated per task, hint chains stay *within* each
-    task (per instance, across the algorithm list), and stochastic
-    algorithms draw from coordinate-derived streams.  Only the dispatch
-    is shared — for each hint-capable algorithm the whole block of
-    instances goes through one :meth:`solve_many` call, so the kernel
-    layer sees batches instead of singletons.
+    Each task's results are independent of the block it runs in and of
+    the other algorithms in its list: instances are generated per task,
+    every solve is cold (no hint crosses algorithms or instances — the
+    META* oracle is not monotone, so a hint could change the certified
+    yield), and stochastic algorithms draw from coordinate-derived
+    streams.  Only the dispatch is shared — for each META* algorithm the
+    whole block of instances goes through one :meth:`solve_many` call,
+    so the kernel layer sees batches instead of singletons.
     """
     tasks = list(tasks)
     shared = tasks[0]
-    if any(t.algorithms != shared.algorithms
-           or t.warm_chain != shared.warm_chain for t in tasks):
+    if any(t.algorithms != shared.algorithms for t in tasks):
         # Mixed blocks can't share a solve_many call; grids never
         # produce them, but stay correct if a caller does.
         return [_run_task(t) for t in tasks]
     instances = [generate_instance(t.config) for t in tasks]
     B = len(tasks)
     rows: list[list[AlgorithmResult]] = [[] for _ in range(B)]
-    hints: list[float | None] = [None] * B
     for name in shared.algorithms:
         algo = ALGORITHM_FACTORIES[name]()
         fn = getattr(algo, "fn", algo)
-        if getattr(fn, "supports_hint", False):
-            # All algorithms in a task solve the *same* instance, so the
-            # best yield an earlier one certified is a strong seed for
-            # this one's binary search.  Warm and cold searches certify
-            # equal yields; the winning *strategy* at the final probe can
-            # differ, so placement-derived values may shift slightly.
-            # With the warm chain off the hints simply stay None.
+        if hasattr(fn, "solve_many"):
             stats_list: list[dict] = [{} for _ in range(B)]
-            allocs = fn.solve_many(
-                instances,
-                hints=list(hints) if shared.warm_chain else None,
-                stats=stats_list)
+            allocs = fn.solve_many(instances, stats=stats_list)
             for i in range(B):
-                stats = stats_list[i]
-                certified = stats.get("certified")
-                if shared.warm_chain and certified is not None \
-                        and (hints[i] is None or certified > hints[i]):
-                    hints[i] = certified
                 alloc = allocs[i]
                 min_yield = None if alloc is None else alloc.minimum_yield()
                 rows[i].append(AlgorithmResult(
-                    name, min_yield, stats["seconds"]))
+                    name, min_yield, stats_list[i]["seconds"]))
         else:
             for i, task in enumerate(tasks):
                 # Stochastic algorithms get a stream derived from the
@@ -179,12 +160,6 @@ def _run_task_batch(tasks: Sequence[_Task]) -> list[TaskResult]:
                                 _algo_stream_id(name)))
                 alloc, seconds = timed_call(algo, instances[i], rng=rng)
                 min_yield = None if alloc is None else alloc.minimum_yield()
-                if min_yield is not None and (hints[i] is None
-                                              or min_yield > hints[i]):
-                    # Non-searching algorithms only offer their
-                    # (post-improve) allocation yield; still a usable
-                    # advisory seed.
-                    hints[i] = min_yield
                 rows[i].append(AlgorithmResult(name, min_yield, seconds))
     return [TaskResult(t.config, tuple(rows[i]))
             for i, t in enumerate(tasks)]
@@ -198,13 +173,15 @@ def iter_grid(configs: Iterable[ScenarioConfig],
               checkpoint: Union[str, "ResultStore", None] = None,
               resume: bool = False,
               progress: Optional[ProgressCallback] = None,
-              warm_chain: bool = True,
               batch: int = 1,
               ) -> Iterator[TaskResult]:
     """Stream :class:`TaskResult`s for *configs* in input order.
 
     *configs* may be an arbitrarily large lazy iterable; only ``window``
     tasks (default ``4 × workers``) are in flight at once.
+
+    Every algorithm solves every instance cold, so an algorithm's result
+    does not depend on which other algorithms share *algorithms*.
 
     With ``batch > 1``, each worker dispatch covers up to *batch*
     consecutive tasks, and every META* solve of a block goes through one
@@ -235,7 +212,7 @@ def iter_grid(configs: Iterable[ScenarioConfig],
     on_computed = None if store is None else (
         lambda key, result: store.append(result))
 
-    tasks = (_Task(cfg, algorithms, warm_chain) for cfg in configs)
+    tasks = (_Task(cfg, algorithms) for cfg in configs)
     stream = parallel_imap_cached(
         _run_task, tasks, cache,
         key=lambda task: task_key(task.config, task.algorithms),
@@ -258,7 +235,6 @@ def run_grid(configs: Iterable[ScenarioConfig],
              checkpoint: Union[str, "ResultStore", None] = None,
              resume: bool = False,
              progress: Optional[ProgressCallback] = None,
-             warm_chain: bool = True,
              batch: int = 1) -> list[TaskResult]:
     """Run *algorithms* on every config; order of results matches input.
 
@@ -267,5 +243,4 @@ def run_grid(configs: Iterable[ScenarioConfig],
     """
     return list(iter_grid(configs, algorithms, workers, window=window,
                           checkpoint=checkpoint, resume=resume,
-                          progress=progress, warm_chain=warm_chain,
-                          batch=batch))
+                          progress=progress, batch=batch))

@@ -9,8 +9,8 @@ task, a **reducer** that folds the completed stream into the experiment's
 data object, and a **formatter** that renders it.  The drivers in
 ``table1.py``, ``table2.py``, ``figures_cov.py``, ``figures_error.py``
 and ``strategy_ranking.py`` are now thin builders of these specs;
-enumeration, checkpointing, resume and warm-start hint chaining live once
-in :func:`~.runner.iter_grid` and :func:`~..util.parallel.
+enumeration, checkpointing and resume live once in
+:func:`~.runner.iter_grid` and :func:`~..util.parallel.
 parallel_imap_cached`.
 
 Two concrete spec families cover every driver:
@@ -174,7 +174,6 @@ class GridExperiment(ExperimentSpec):
     algorithms: tuple[str, ...]
     reduce: Callable[["GridExperiment", Iterator[TaskResult]], object]
     formatter: Callable[[object], str]
-    warm_chain: bool = True
 
     def iter_configs(self) -> Iterator:
         return iter(self.configs())
@@ -187,8 +186,7 @@ class GridExperiment(ExperimentSpec):
                 window, progress, batch: int = 1) -> Iterator[TaskResult]:
         return iter_grid(configs, self.algorithms, workers, window=window,
                          checkpoint=checkpoint, resume=resume,
-                         progress=progress, warm_chain=self.warm_chain,
-                         batch=batch)
+                         progress=progress, batch=batch)
 
     def run(self, workers: int | None = None, *,
             checkpoint=None, resume: bool = False,

@@ -81,11 +81,6 @@ class StrategyRanking:
 class _StrategyTask:
     strategy_index: int
     configs: tuple[ScenarioConfig, ...]
-    #: Seed each config's yield search with the previous config's
-    #: certified yield *for this same strategy* (see PR 4's warm starts).
-    #: The chain lives entirely inside the task, so checkpoint resume and
-    #: sharding see identical results.
-    warm_start: bool = True
 
 
 #: Per-process cache of (config → YieldProbeFactory): all 253 strategy
@@ -106,32 +101,23 @@ def _probe_factory(cfg: ScenarioConfig) -> YieldProbeFactory:
 
 
 def _evaluate_strategy(task: _StrategyTask) -> StrategyStats:
-    strategy = hvp_strategies()[task.strategy_index]
+    """One strategy's §5.1 statistics over the task's configs.
 
-    def solve(cfg, hint):
+    Every config's yield search runs cold: the single-strategy oracle is
+    not monotone, so a hint from another instance could change the
+    certified yield.
+    """
+    strategy = hvp_strategies()[task.strategy_index]
+    yields = []
+    successes = 0
+    for cfg in task.configs:
         factory = _probe_factory(cfg)
         oracle = FusedProbeEngine(factory.instance, (strategy,),
                                   factory=factory)
-        stats: dict = {}
-        alloc = binary_search_max_yield(factory.instance, oracle,
-                                        hint=hint, stats=stats)
-        return alloc, stats.get("certified")
-    yields = []
-    successes = 0
-    # Per-strategy hint chain: consecutive configs of one task differ
-    # only in CoV/instance draw, so the previous config's certified yield
-    # is a strong bracket seed for the next search.  Single strategies
-    # fail often, and a failure certifies nothing — the chain resets to a
-    # cold search after every failed config.
-    hint: float | None = None
-    for cfg in task.configs:
-        alloc, certified = solve(cfg, hint if task.warm_start else None)
+        alloc = binary_search_max_yield(factory.instance, oracle)
         if alloc is not None:
             successes += 1
             yields.append(alloc.minimum_yield())
-            hint = certified
-        else:
-            hint = None
     return StrategyStats(
         strategy=strategy,
         successes=successes,
@@ -140,16 +126,12 @@ def _evaluate_strategy(task: _StrategyTask) -> StrategyStats:
     )
 
 
-def _configs_fingerprint(configs: Sequence[ScenarioConfig],
-                         warm_start: bool) -> str:
-    # The warm-start flag is part of the identity: warm and cold searches
-    # on a non-monotone single-strategy oracle certify equal yields only
-    # up to the search tolerance, so their checkpoints must not mix.
-    # scenario_key embeds each config's workload-model id.  "v2" stands
-    # where a since-removed engine field was hashed, so checkpoints
-    # written before its removal keep their fingerprint.
-    blob = json.dumps([[scenario_key(c) for c in configs], "v2",
-                       warm_start])
+def _configs_fingerprint(configs: Sequence[ScenarioConfig]) -> str:
+    # scenario_key embeds each config's workload-model id.  "v2" and
+    # False stand where since-removed engine and warm-start fields were
+    # hashed: checkpoints of cold rankings written before their removal
+    # keep their fingerprint, and warm ones are never reused.
+    blob = json.dumps([[scenario_key(c) for c in configs], "v2", False])
     return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
 
@@ -176,7 +158,6 @@ def _reduce_ranking(exp: CheckpointExperiment,
 
 
 def strategy_ranking_experiment(configs: Sequence[ScenarioConfig],
-                                warm_start: bool = True,
                                 top_n: int = 25) -> CheckpointExperiment:
     """Declare the §5.1 exploration as a shardable experiment spec.
 
@@ -186,8 +167,8 @@ def strategy_ranking_experiment(configs: Sequence[ScenarioConfig],
     return CheckpointExperiment(
         name="rank-strategies",
         kind=CHECKPOINT_KIND,
-        fingerprint=_configs_fingerprint(configs, warm_start),
-        tasks=tuple(_StrategyTask(i, configs, warm_start)
+        fingerprint=_configs_fingerprint(configs),
+        tasks=tuple(_StrategyTask(i, configs)
                     for i in range(len(hvp_strategies()))),
         worker=_evaluate_strategy,
         index_of=lambda task: task.strategy_index,
@@ -204,18 +185,15 @@ def rank_strategies(configs: Sequence[ScenarioConfig],
                     checkpoint=None,
                     resume: bool = False,
                     window: int | None = None,
-                    progress=None,
-                    warm_start: bool = True) -> StrategyRanking:
+                    progress=None) -> StrategyRanking:
     """Evaluate every basic HVP strategy on *configs* and rank them.
 
     With *checkpoint*/``resume=True``, per-strategy stats are persisted as
     they complete and already-evaluated strategies (for this exact config
-    set and warm-start policy) are answered from disk.  All strategies
-    evaluated in one worker process share each config's per-instance
-    probe precomputation.  *warm_start* chains each strategy's yield
-    searches across its configs (cold fallback after failures).
+    set) are answered from disk.  All strategies evaluated in one worker
+    process share each config's per-instance probe precomputation.
     """
-    return strategy_ranking_experiment(configs, warm_start).run(
+    return strategy_ranking_experiment(configs).run(
         workers, checkpoint=checkpoint, resume=resume, window=window,
         progress=progress)
 

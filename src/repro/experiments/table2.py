@@ -7,9 +7,9 @@ reproduced claims are the *relative* ordering — RRNZ ≫ METAHVP > METAVP ≫
 METAGREEDY — the ≈3× METAHVP/METAVP ratio and the ≈10× METAHVPLIGHT
 speed-up of §5.1.
 
-Declared as a :class:`~.spec.GridExperiment` with ``warm_chain=False``:
-Table 2 reports *standalone* run times, so a solve must not be
-accelerated by a sibling algorithm's answer.
+Declared as a :class:`~.spec.GridExperiment`.  Table 2 reports
+*standalone* run times; every grid solves each algorithm cold, so no
+solve is accelerated by a sibling algorithm's answer.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ def table2_experiment(grid: GridSpec,
         algorithms=tuple(algorithms),
         reduce=_reduce_table2,
         formatter=format_table2,
-        warm_chain=False,
     )
 
 

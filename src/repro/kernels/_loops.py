@@ -27,6 +27,17 @@ every backend shares — backend choice itself never depends on D.
 :func:`make_probe_scan` builds the fused META* probe: one kernel call
 that scans a whole strategy table at a fixed yield, eliminating the
 per-strategy Python dispatch that dominates batched solving.
+
+First-Fit and the 2-D Permutation/Choose-Pack walk take a *prune* flag,
+which only the fused probe sets.  Both fill bins in order and never
+revisit one, so once the pending items' total demand in some dimension
+exceeds the room left in the bins not yet visited, the fill cannot
+succeed; with *prune* the packer stops there.  The cut allows a margin
+of ``PRUNE_MARGIN`` (1e-9) of the initial room, far above the float
+rounding of the sums (about ``J * 1e-16`` of it), so it never fires on
+a fill that would succeed: a probe's answer, winning strategy and
+placement are unchanged, and only a failed fill's unplaced count and
+loads are cut short.
 """
 
 from __future__ import annotations
@@ -45,15 +56,19 @@ __all__ = [
     "probe_scan",
 ]
 
+#: Margin of the *prune* cut (module docstring) as a share of the
+#: initial room; the native backend's C source repeats it.
+PRUNE_MARGIN = 1e-9
+
 
 def ff_fill(item_agg, elem_ok, item_order, bin_order,
-            loads, load_sum, cap_tol, assignment):
+            loads, load_sum, cap_tol, assignment, prune):
     """First-Fit greedy per-bin fill (any D).  Returns the unplaced count.
 
     Mirrors the numpy backend's scalar fast path: bins are filled one at a
     time, each taking every pending item (in item order) that fits the
     running load; the bin's load is accumulated in scalars and committed
-    once.
+    once.  *prune*: see the module docstring.
     """
     J = item_order.shape[0]
     D = item_agg.shape[1]
@@ -62,10 +77,27 @@ def ff_fill(item_agg, elem_ok, item_order, bin_order,
         pending[i] = item_order[i]
     npend = J
     load = np.empty(D, np.float64)
+    pend = np.zeros(D, np.float64)
+    for i in range(J):
+        for d in range(D):
+            pend[d] += item_agg[pending[i], d]
+    room = np.zeros(D, np.float64)
+    for bi in range(bin_order.shape[0]):
+        for d in range(D):
+            room[d] += cap_tol[bin_order[bi], d] - loads[bin_order[bi], d]
+    margin = np.empty(D, np.float64)
+    for d in range(D):
+        margin[d] = PRUNE_MARGIN * room[d]
     for bi in range(bin_order.shape[0]):
         if npend == 0:
             break
         h = bin_order[bi]
+        if prune:
+            for d in range(D):
+                if pend[d] > room[d] + margin[d]:
+                    return npend
+            for d in range(D):
+                room[d] -= cap_tol[h, d] - loads[h, d]
         for d in range(D):
             load[d] = loads[h, d]
         ntaken = 0
@@ -81,6 +113,7 @@ def ff_fill(item_agg, elem_ok, item_order, bin_order,
             if ok:
                 for d in range(D):
                     load[d] += item_agg[j, d]
+                    pend[d] -= item_agg[j, d]
                 assignment[j] = h
                 ntaken += 1
             else:
@@ -139,25 +172,42 @@ def bf_pack(item_agg, item_agg_sum, elem_ok, item_order,
 
 def pp_fill_2d(item_agg, elem_ok, order0, order1, bin_order,
                loads, load_sum, cap_tol, bin_agg, by_remaining,
-               assignment):
+               assignment, prune):
     """Permutation/Choose-Pack 2-D pointer walk.  Returns the unplaced count.
 
     ``order0``/``order1`` are the items sorted by their packed selection
     code under dimension ranking (0, 1) resp. (1, 0), over *all* items;
     already-placed items are skipped during the walk, which visits every
     candidate O(1) times per ranking per bin (an unfit candidate is dead
-    for the bin forever — remaining capacity never grows).
+    for the bin forever — remaining capacity never grows).  *prune*: see
+    the module docstring.
     """
     J = item_agg.shape[0]
     unplaced = 0
+    pend0 = 0.0
+    pend1 = 0.0
     for j in range(J):
         if assignment[j] < 0:
             unplaced += 1
+            pend0 += item_agg[j, 0]
+            pend1 += item_agg[j, 1]
+    room0 = 0.0
+    room1 = 0.0
+    for bi in range(bin_order.shape[0]):
+        room0 += cap_tol[bin_order[bi], 0] - loads[bin_order[bi], 0]
+        room1 += cap_tol[bin_order[bi], 1] - loads[bin_order[bi], 1]
+    margin0 = PRUNE_MARGIN * room0
+    margin1 = PRUNE_MARGIN * room1
     dead = np.zeros(J, np.uint8)
     for bi in range(bin_order.shape[0]):
         if unplaced == 0:
             break
         h = bin_order[bi]
+        if prune:
+            if pend0 > room0 + margin0 or pend1 > room1 + margin1:
+                return unplaced
+            room0 -= cap_tol[h, 0] - loads[h, 0]
+            room1 -= cap_tol[h, 1] - loads[h, 1]
         l0 = loads[h, 0]
         l1 = loads[h, 1]
         c0 = cap_tol[h, 0]
@@ -212,6 +262,8 @@ def pp_fill_2d(item_agg, elem_ok, order0, order1, bin_order,
             assignment[sel] = h
             l0 += item_agg[sel, 0]
             l1 += item_agg[sel, 1]
+            pend0 -= item_agg[sel, 0]
+            pend1 -= item_agg[sel, 1]
             k0 = l0 - b0
             k1 = l1 - b1
             ntaken += 1
@@ -444,8 +496,9 @@ def make_probe_scan(ff_fill, bf_pack, pp_fill_2d, pp_fill_general):
 
     The returned function runs one feasibility probe: for each strategy in
     ``scan`` order it resets the scratch state and executes the strategy's
-    packer with the precomputed orders from the strategy table, stopping at
-    the first full packing.  Returns the *position in* ``scan`` of the
+    packer with the precomputed orders from the strategy table (First-Fit
+    and the 2-D Permutation/Choose-Pack walk with *prune* set), stopping
+    at the first full packing.  Returns the *position in* ``scan`` of the
     winning strategy (its placement is left in ``assignment``), or -1 when
     no strategy packs.
 
@@ -483,7 +536,7 @@ def make_probe_scan(ff_fill, bf_pack, pp_fill_2d, pp_fill_general):
             if packer == 0:
                 ok = ff_fill(item_agg, elem_ok, item_order,
                              bin_orders[st_bin[s]], loads, load_sum,
-                             cap_tol, assignment) == 0
+                             cap_tol, assignment, True) == 0
             elif packer == 1:
                 ok = bf_pack(item_agg, item_agg_sum, elem_ok, item_order,
                              loads, load_sum, cap_tol, bin_agg_sum,
@@ -492,7 +545,7 @@ def make_probe_scan(ff_fill, bf_pack, pp_fill_2d, pp_fill_general):
                 ok = pp_fill_2d(item_agg, elem_ok, pp_order0[st_cfg[s]],
                                 pp_order1[st_cfg[s]], bin_orders[st_bin[s]],
                                 loads, load_sum, cap_tol, bin_agg,
-                                hetero, assignment) == 0
+                                hetero, assignment, True) == 0
             else:
                 ok = pp_fill_general(item_agg, item_agg_sum, elem_ok,
                                      item_dim_perm, tie_ranks[st_item[s]],

@@ -163,7 +163,7 @@ class ArrayKernelBackend(KernelBackend):
         unplaced = self._k.ff_fill(
             state.item_agg, state.elem_ok, _i64(item_order),
             _i64(bin_order), state.loads, state.load_sum,
-            state.bin_cap_tol, state.assignment)
+            state.bin_cap_tol, state.assignment, False)
         state.unplaced_count = int(unplaced)
         return unplaced == 0
 
@@ -192,7 +192,7 @@ class ArrayKernelBackend(KernelBackend):
                 state.item_agg, state.elem_ok, _i64(order0), _i64(order1),
                 _i64(bin_order), state.loads, state.load_sum,
                 state.bin_cap_tol, state.bin_agg, bool(by_remaining),
-                state.assignment)
+                state.assignment, False)
         else:
             unplaced = self._k.pp_fill_general(
                 state.item_agg, state.item_agg_sum, state.elem_ok,

@@ -30,20 +30,43 @@ _C_SOURCE = r"""
 #include <stdlib.h>
 #include <math.h>
 
+#define PRUNE_MARGIN 1e-9  /* _loops.PRUNE_MARGIN */
+
 int64_t ff_fill(int64_t J, int64_t H, int64_t NB, int64_t D,
                 const double *item_agg, const uint8_t *elem_ok,
                 const int64_t *item_order, const int64_t *bin_order,
                 double *loads, double *load_sum,
-                const double *cap_tol, int64_t *assignment)
+                const double *cap_tol, int64_t *assignment,
+                int64_t prune)
 {
     int64_t *pending = malloc((size_t)J * sizeof(int64_t));
-    double *load = malloc((size_t)D * sizeof(double));
+    double *load = malloc((size_t)D * 4 * sizeof(double));
     int64_t npend = J;
     if (!pending || !load) { free(pending); free(load); return -1; }
+    double *pend = load + D, *room = load + 2*D, *margin = load + 3*D;
     for (int64_t i = 0; i < J; i++) pending[i] = item_order[i];
+    for (int64_t d = 0; d < D; d++) pend[d] = 0.0;
+    for (int64_t i = 0; i < J; i++)
+        for (int64_t d = 0; d < D; d++) pend[d] += item_agg[pending[i]*D+d];
+    for (int64_t d = 0; d < D; d++) room[d] = 0.0;
+    for (int64_t bi = 0; bi < NB; bi++)
+        for (int64_t d = 0; d < D; d++)
+            room[d] += cap_tol[bin_order[bi]*D+d] - loads[bin_order[bi]*D+d];
+    for (int64_t d = 0; d < D; d++) margin[d] = PRUNE_MARGIN * room[d];
     for (int64_t bi = 0; bi < NB; bi++) {
         if (npend == 0) break;
         int64_t h = bin_order[bi];
+        if (prune) {
+            for (int64_t d = 0; d < D; d++) {
+                if (pend[d] > room[d] + margin[d]) {
+                    free(pending);
+                    free(load);
+                    return npend;
+                }
+            }
+            for (int64_t d = 0; d < D; d++)
+                room[d] -= cap_tol[h*D+d] - loads[h*D+d];
+        }
         for (int64_t d = 0; d < D; d++) load[d] = loads[h*D+d];
         int64_t ntaken = 0, nrest = 0;
         for (int64_t i = 0; i < npend; i++) {
@@ -58,7 +81,10 @@ int64_t ff_fill(int64_t J, int64_t H, int64_t NB, int64_t D,
                 }
             }
             if (ok) {
-                for (int64_t d = 0; d < D; d++) load[d] += item_agg[j*D+d];
+                for (int64_t d = 0; d < D; d++) {
+                    load[d] += item_agg[j*D+d];
+                    pend[d] -= item_agg[j*D+d];
+                }
                 assignment[j] = h;
                 ntaken++;
             } else {
@@ -123,16 +149,37 @@ int64_t pp_fill_2d(int64_t J, int64_t H, int64_t NB,
                    const int64_t *bin_order,
                    double *loads, double *load_sum,
                    const double *cap_tol, const double *bin_agg,
-                   int64_t by_remaining, int64_t *assignment)
+                   int64_t by_remaining, int64_t *assignment,
+                   int64_t prune)
 {
     int64_t unplaced = 0;
     uint8_t *dead = malloc((size_t)J);
     if (!dead) return -1;
-    for (int64_t j = 0; j < J; j++)
-        if (assignment[j] < 0) unplaced++;
+    double pend0 = 0.0, pend1 = 0.0;
+    for (int64_t j = 0; j < J; j++) {
+        if (assignment[j] < 0) {
+            unplaced++;
+            pend0 += item_agg[j*2+0];
+            pend1 += item_agg[j*2+1];
+        }
+    }
+    double room0 = 0.0, room1 = 0.0;
+    for (int64_t bi = 0; bi < NB; bi++) {
+        room0 += cap_tol[bin_order[bi]*2+0] - loads[bin_order[bi]*2+0];
+        room1 += cap_tol[bin_order[bi]*2+1] - loads[bin_order[bi]*2+1];
+    }
+    double margin0 = PRUNE_MARGIN * room0, margin1 = PRUNE_MARGIN * room1;
     for (int64_t bi = 0; bi < NB; bi++) {
         if (unplaced == 0) break;
         int64_t h = bin_order[bi];
+        if (prune) {
+            if (pend0 > room0 + margin0 || pend1 > room1 + margin1) {
+                free(dead);
+                return unplaced;
+            }
+            room0 -= cap_tol[h*2+0] - loads[h*2+0];
+            room1 -= cap_tol[h*2+1] - loads[h*2+1];
+        }
         double l0 = loads[h*2+0], l1 = loads[h*2+1];
         double c0 = cap_tol[h*2+0], c1 = cap_tol[h*2+1];
         double b0 = 0.0, b1 = 0.0;
@@ -177,6 +224,8 @@ int64_t pp_fill_2d(int64_t J, int64_t H, int64_t NB,
             assignment[sel] = h;
             l0 += item_agg[sel*2+0];
             l1 += item_agg[sel*2+1];
+            pend0 -= item_agg[sel*2+0];
+            pend1 -= item_agg[sel*2+1];
             k0 = l0 - b0;
             k1 = l1 - b1;
             ntaken++;
@@ -427,7 +476,7 @@ int64_t probe_scan(int64_t J, int64_t H, int64_t D, int64_t S,
         if (packer == 0) {
             ok = ff_fill(J, H, H, D, item_agg, elem_ok, item_order,
                          bin_orders + st_bin[s]*H, loads, load_sum,
-                         cap_tol, assignment) == 0;
+                         cap_tol, assignment, 1) == 0;
         } else if (packer == 1) {
             ok = bf_pack(J, H, D, item_agg, item_agg_sum, elem_ok,
                          item_order, loads, load_sum, cap_tol,
@@ -437,7 +486,7 @@ int64_t probe_scan(int64_t J, int64_t H, int64_t D, int64_t S,
                             pp_order0 + st_cfg[s]*J,
                             pp_order1 + st_cfg[s]*J,
                             bin_orders + st_bin[s]*H, loads, load_sum,
-                            cap_tol, bin_agg, hetero, assignment) == 0;
+                            cap_tol, bin_agg, hetero, assignment, 1) == 0;
         } else {
             ok = pp_fill_general(J, H, H, D, st_w[s], st_choose[s],
                                  item_agg, item_agg_sum, elem_ok,
@@ -542,7 +591,8 @@ class _NativeKernels:
         self._lib = lib
         lib.ff_fill.restype = _i64
         lib.ff_fill.argtypes = [_i64, _i64, _i64, _i64, _f64p, _u8p,
-                                _i64p, _i64p, _f64p, _f64p, _f64p, _i64p]
+                                _i64p, _i64p, _f64p, _f64p, _f64p, _i64p,
+                                _i64]
         lib.bf_pack.restype = _i64
         lib.bf_pack.argtypes = [_i64, _i64, _i64, _f64p, _f64p, _u8p,
                                 _i64p, _f64p, _f64p, _f64p, _f64p, _i64,
@@ -550,7 +600,7 @@ class _NativeKernels:
         lib.pp_fill_2d.restype = _i64
         lib.pp_fill_2d.argtypes = [_i64, _i64, _i64, _f64p, _u8p, _i64p,
                                    _i64p, _i64p, _f64p, _f64p, _f64p,
-                                   _f64p, _i64, _i64p]
+                                   _f64p, _i64, _i64p, _i64]
         lib.pp_fill_general.restype = _i64
         lib.pp_fill_general.argtypes = [_i64, _i64, _i64, _i64, _i64,
                                         _i64, _f64p, _f64p, _u8p, _i64p,
@@ -576,11 +626,11 @@ class _NativeKernels:
                                    _f64p, _f64p, _i64p]
 
     def ff_fill(self, item_agg, elem_ok, item_order, bin_order,
-                loads, load_sum, cap_tol, assignment):
+                loads, load_sum, cap_tol, assignment, prune):
         return self._lib.ff_fill(
             item_order.shape[0], loads.shape[0], bin_order.shape[0],
             item_agg.shape[1], item_agg, _u8(elem_ok), item_order,
-            bin_order, loads, load_sum, cap_tol, assignment)
+            bin_order, loads, load_sum, cap_tol, assignment, int(prune))
 
     def bf_pack(self, item_agg, item_agg_sum, elem_ok, item_order,
                 loads, load_sum, cap_tol, bin_agg_sum, by_remaining,
@@ -592,11 +642,12 @@ class _NativeKernels:
 
     def pp_fill_2d(self, item_agg, elem_ok, order0, order1, bin_order,
                    loads, load_sum, cap_tol, bin_agg, by_remaining,
-                   assignment):
+                   assignment, prune):
         return self._lib.pp_fill_2d(
             item_agg.shape[0], loads.shape[0], bin_order.shape[0],
             item_agg, _u8(elem_ok), order0, order1, bin_order, loads,
-            load_sum, cap_tol, bin_agg, int(by_remaining), assignment)
+            load_sum, cap_tol, bin_agg, int(by_remaining), assignment,
+            int(prune))
 
     def pp_fill_general(self, item_agg, item_agg_sum, elem_ok,
                         item_dim_perm, tie_rank, w, choose_pack,

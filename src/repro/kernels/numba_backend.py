@@ -69,7 +69,7 @@ def warmup() -> None:
     cap = np.full((1, 2), 8.0)
     assignment = np.full(2, -1, dtype=np.int64)
     ff_fill(item_agg, elem_ok, order, bins, loads, load_sum, cap,
-            assignment)
+            assignment, False)
     assignment[:] = -1
     loads[:] = 0.0
     load_sum[:] = 0.0
@@ -79,7 +79,7 @@ def warmup() -> None:
     loads[:] = 0.0
     load_sum[:] = 0.0
     pp_fill_2d(item_agg, elem_ok, order, order, bins, loads, load_sum,
-               cap, cap, True, assignment)
+               cap, cap, True, assignment, False)
     assignment[:] = -1
     loads[:] = 0.0
     load_sum[:] = 0.0

@@ -74,6 +74,9 @@ class AllocationHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/0.2"
     protocol_version = "HTTP/1.1"  # keep-alive; every reply sets a length
+    # Headers and body go out in two sends; with Nagle on, the second
+    # waits for the client's delayed ACK (~40 ms per keep-alive request).
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     @property

@@ -4,10 +4,12 @@ These use SMOKE-scale grids (8 hosts, 16 services) so the full pipeline
 runs in seconds while still exercising every code path.
 """
 
+import functools
 
 import pytest
 
 from repro.experiments import (
+    QUICK_GRID,
     SMOKE_GRID,
     GridSpec,
     format_table1,
@@ -17,9 +19,34 @@ from repro.experiments import (
     run_table2,
 )
 from repro.experiments.runner import ALGORITHM_FACTORIES, make_algorithms
+from repro.experiments.table1 import DEFAULT_TABLE1_ALGORITHMS
 from repro.experiments.table2 import table2_from_results
 
 FAST_ALGOS = ("METAGREEDY", "METAVP", "METAHVPLIGHT")
+
+#: Grids for the path-independence check.  "counter-example" is the
+#: QUICK_GRID instance where METAVP certified 0.46104 when seeded with
+#: METAGREEDY's yield and 0.50089 alone: the META* oracle is not
+#: monotone, so a hint from another algorithm can change the result.
+PATH_GRIDS = {
+    "counter-example": lambda: [
+        c for c in QUICK_GRID.configs()
+        if c.label() == "H16-J30-cov1-slack0.5" and c.instance_index == 3],
+    "smoke": lambda: list(SMOKE_GRID.configs()),
+}
+
+
+def _yields(configs, algorithms, workers=1, batch=1):
+    """``{(task position, algorithm): min_yield}`` of one grid run."""
+    return {(i, r.algorithm): r.min_yield
+            for i, task in enumerate(run_grid(configs, algorithms, workers,
+                                              batch=batch))
+            for r in task.results}
+
+
+@functools.lru_cache(maxsize=None)
+def _solo_yields(grid: str, algorithm: str) -> dict:
+    return _yields(PATH_GRIDS[grid](), (algorithm,))
 
 
 class TestGridSpec:
@@ -84,6 +111,28 @@ class TestRunner:
         for ts, tp in zip(serial, parallel):
             assert ts.by_algorithm()["METAGREEDY"].min_yield == \
                 tp.by_algorithm()["METAGREEDY"].min_yield
+
+
+class TestPathIndependence:
+    @pytest.mark.parametrize("grid, workers, batch", [
+        ("counter-example", 1, 1),
+        ("smoke", 1, 1),
+        ("smoke", 1, 32),
+        ("smoke", 2, 1),
+        ("smoke", 2, 32),
+    ])
+    def test_yield_same_alone_and_in_full_list(self, grid, workers, batch):
+        """Every algorithm's yield in the full Table 1 list equals its
+        yield when it runs alone, at every batch size and worker count."""
+        configs = PATH_GRIDS[grid]()
+        full = _yields(configs, DEFAULT_TABLE1_ALGORITHMS, workers, batch)
+        for algo in DEFAULT_TABLE1_ALGORITHMS:
+            reference = _solo_yields(grid, algo)
+            assert {k: v for k, v in full.items() if k[1] == algo} \
+                == reference
+            assert _yields(configs, (algo,), workers, batch) == reference
+        if grid == "counter-example":
+            assert full[(0, "METAVP")] == pytest.approx(0.500888, abs=1e-6)
 
 
 class TestTable1:

@@ -61,11 +61,7 @@ class TestRanking:
         assert "LIGHT members" in text
 
 
-class TestWarmStart:
-    """The per-strategy hint chain: each config's yield search is seeded
-    with the previous config's certified yield for the same strategy,
-    falling back to a cold search after any failure."""
-
+class TestDeterminism:
     @pytest.fixture(scope="class")
     def configs(self):
         return [
@@ -75,68 +71,21 @@ class TestWarmStart:
             for i in range(2)
         ]
 
-    @pytest.fixture(scope="class")
-    def warm(self, configs):
-        return rank_strategies(configs, workers=1, warm_start=True)
-
-    @pytest.fixture(scope="class")
-    def cold(self, configs):
-        return rank_strategies(configs, workers=1, warm_start=False)
-
-    def test_warm_is_deterministic(self, configs, warm):
-        again = rank_strategies(configs, workers=1, warm_start=True)
+    def test_ranking_is_deterministic(self, configs):
+        first, again = (rank_strategies(configs, workers=1)
+                        for _ in range(2))
         assert [(s.strategy.name, s.successes, s.average_yield)
-                for s in warm.stats] == \
+                for s in first.stats] == \
             [(s.strategy.name, s.successes, s.average_yield)
              for s in again.stats]
 
-    def test_warm_preserves_success_profile(self, warm, cold):
-        """A hint never changes *whether* a strategy packs an instance
-        (feasibility at yield 0 is probed either way), only which yield
-        the search certifies on a non-monotone oracle."""
-        warm_by_name = {s.strategy.name: s for s in warm.stats}
-        for c in cold.stats:
-            w = warm_by_name[c.strategy.name]
-            assert w.successes == c.successes
-            assert w.attempts == c.attempts
-
-    def test_warm_yields_within_engine_envelope(self, warm, cold):
-        """Single strategies are not always monotone, so warm and cold
-        may certify slightly different yields (the same envelope as the
-        engine's adaptive ordering) — but only slightly, and for few
-        strategies."""
-        warm_by_name = {s.strategy.name: s for s in warm.stats}
-        moved = 0
-        for c in cold.stats:
-            w = warm_by_name[c.strategy.name]
-            assert w.average_yield == pytest.approx(c.average_yield,
-                                                    abs=0.05)
-            if w.average_yield != c.average_yield:
-                moved += 1
-        assert moved <= len(cold.stats) // 10
-
-    def test_checkpoints_do_not_mix(self, tmp_path, configs, warm):
-        """Warm and cold runs have distinct fingerprints, so a cold
-        resume never reuses warm payloads (and vice versa)."""
-        path = str(tmp_path / "ck.jsonl")
-        rank_strategies(configs[:1], workers=1, checkpoint=path,
-                        warm_start=True)
-        from repro.experiments.persistence import JsonlCheckpoint
-        before = len(JsonlCheckpoint(path, kind="strategy-rank",
-                                     resume=True))
-        rank_strategies(configs[:1], workers=1, checkpoint=path,
-                        resume=True, warm_start=False)
-        after = len(JsonlCheckpoint(path, kind="strategy-rank",
-                                    resume=True))
-        assert after == before + 253  # everything recomputed, nothing aliased
-
 
 def test_fingerprint_stable_across_engine_field_removal():
-    """Checkpoints written while the fingerprint still hashed an engine
-    field ("v2") must keep resuming; these values come from that code."""
+    """Cold-ranking checkpoints written while the fingerprint still
+    hashed engine and warm-start fields must keep resuming; the value
+    comes from that code."""
     from repro.experiments.strategy_ranking import _configs_fingerprint
     configs = [ScenarioConfig(hosts=8, services=20, cov=cov, slack=0.5,
                               seed=2012, instance_index=0)
                for cov in (0.25, 0.75)]
-    assert _configs_fingerprint(configs, True) == "0aba8152f294"
-    assert _configs_fingerprint(configs, False) == "b81fb3ffbe6c"
+    assert _configs_fingerprint(configs) == "b81fb3ffbe6c"

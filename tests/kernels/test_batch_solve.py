@@ -213,6 +213,66 @@ class TestFusedEngine:
             assert fused.probes == plain.probes, y
             assert fused.strategy_runs == plain.strategy_runs, y
 
+    @pytest.mark.parametrize("dims", (2, 3))
+    def test_pruned_scan_matches_each_strategy(self, backend, dims):
+        """The fused scan cuts a First-Fit or 2-D Permutation-Pack fill
+        once the pending demand exceeds the room left in unvisited bins.  For
+        every strategy and yield up to the capacity bound, it still packs
+        exactly when the unpruned packer does, with the same placement."""
+        inst = synthetic_instance(dims, J=14, H=4, seed=5)
+        hi = inst.yield_upper_bound()
+        for strategy in hvp_strategies()[::5]:
+            with kernels.kernel_backend(backend):
+                engine = FusedProbeEngine(inst, (strategy,))
+            if not engine.supported:
+                pytest.skip("backend has no fused probe scan")
+            for y in (0.0, 0.5 * hi, 0.8 * hi, 0.9 * hi, 0.97 * hi, hi):
+                with kernels.kernel_backend(backend):
+                    a = engine(inst, y)
+                with kernels.kernel_backend("numpy"):
+                    b = ProbeContext(inst, y).run(strategy)
+                assert (a is None) == (b is None), (strategy.name, y)
+                if a is not None:
+                    assert np.array_equal(a, b), (strategy.name, y)
+
+
+def _kernel_namespaces():
+    from repro.kernels import _loops
+    out = [pytest.param(lambda: _loops, id="loops")]
+    reason = AVAILABILITY.get("native")
+    marks = (pytest.mark.skip(reason=reason),) if reason else ()
+
+    def native():
+        from repro.kernels.native_backend import load_native_kernels
+        return load_native_kernels()
+    out.append(pytest.param(native, id="native", marks=marks))
+    return out
+
+
+@pytest.mark.parametrize("load", _kernel_namespaces())
+def test_prune_cuts_a_doomed_fill(load):
+    """Three (6, 6) items, two (10, 10) bins: the first bin takes one
+    item and wastes 4, leaving 10 of room for 12 of demand.  The plain
+    fill places one more item (1 unplaced); the pruned fill stops before
+    the second bin (2 unplaced)."""
+    k = load()
+    item_agg = np.full((3, 2), 6.0)
+    elem_ok = np.ones((3, 2), dtype=np.bool_)
+    order = np.arange(3, dtype=np.int64)
+    bins = np.arange(2, dtype=np.int64)
+    cap = np.full((2, 2), 10.0)
+    for prune, unplaced in ((False, 1), (True, 2)):
+        def fresh():
+            return (np.zeros((2, 2)), np.zeros(2),
+                    np.full(3, -1, dtype=np.int64))
+        loads, load_sum, assignment = fresh()
+        assert k.ff_fill(item_agg, elem_ok, order, bins, loads, load_sum,
+                         cap, assignment, prune) == unplaced
+        loads, load_sum, assignment = fresh()
+        assert k.pp_fill_2d(item_agg, elem_ok, order, order, bins, loads,
+                            load_sum, cap, cap, False, assignment,
+                            prune) == unplaced
+
 
 class TestSolveManyEdgeCases:
     def test_empty_batch(self):

@@ -51,7 +51,7 @@ class TestIncrementalResolve:
         # A loaded cluster, not the trivial slack fast path.
         assert 0.0 < ctl.state.certified < 1.0
 
-    def test_warm_chain_certifies_cold_yields_at_every_step(self):
+    def test_warm_start_certifies_cold_yields_at_every_step(self):
         specs = scripted_specs(12)
         warm = make_controller(warm_start=True)
         cold = make_controller(warm_start=False)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -218,3 +220,22 @@ class TestConcurrency:
         _, state = call(server, "GET", "/state")
         assert state["active"] == 24
         assert set(state["services"]) == ids
+
+
+class TestKeepAlive:
+    def test_back_to_back_requests_do_not_stall(self, server):
+        """20 requests over one keep-alive connection finish far below
+        the ~40 ms per request a Nagle/delayed-ACK stall would cost."""
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                resp.read()
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        assert elapsed < 0.3, f"20 keep-alive requests took {elapsed:.3f}s"
