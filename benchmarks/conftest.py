@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 
 import numpy as np
 import pytest
@@ -39,20 +40,34 @@ def emit(output_dir):
     return _emit
 
 
+def _c_compiler_id() -> str | None:
+    """First line of ``$CC --version`` (``cc`` by default, as the native
+    kernel backend compiles with), or ``None`` without a compiler."""
+    try:
+        out = subprocess.run([os.environ.get("CC", "cc"), "--version"],
+                             capture_output=True, text=True, timeout=30,
+                             check=True).stdout
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.splitlines()[0].strip() if out.strip() else None
+
+
 @pytest.fixture(scope="session")
 def write_bench(output_dir):
     """Write a ``BENCH_*.json`` record stamped with the host it ran on.
 
     ``write_bench(name, record)`` adds a ``host`` object (CPU count,
-    platform, Python, numpy, active kernel backend) and writes the record
-    to ``benchmarks/output/<name>``; with ``REPRO_BENCH_UPDATE`` set it
-    also refreshes the committed baseline ``benchmarks/<name>``.
+    platform, Python, numpy, the C compiler the native kernels build
+    with, active kernel backend) and writes the record to
+    ``benchmarks/output/<name>``; with ``REPRO_BENCH_UPDATE`` set it also
+    refreshes the committed baseline ``benchmarks/<name>``.
     """
     from repro import kernels
     static = {"cpu_count": os.cpu_count(),
               "platform": platform.platform(),
               "python": platform.python_version(),
-              "numpy": np.__version__}
+              "numpy": np.__version__,
+              "c_compiler": _c_compiler_id()}
 
     def _write(name: str, record: dict) -> None:
         host = {**static, "kernel_backend": kernels.current_backend_name()}

@@ -11,8 +11,8 @@ fused probe-scan kernel (numpy).
 
 Part 2 reports the wall-clock of the full Table 1 and Table 2 quick
 grids run batched (``batch=32``) — the end-to-end number the batching
-work targets — plus the solve-seconds spent inside the batched META*
-algorithms alone.
+work targets — plus each algorithm's summed solve-seconds and the share
+spent inside the batched META* algorithms alone.
 
 Results land in ``benchmarks/output/BENCH_batch.json``; the committed
 baseline ``benchmarks/BENCH_batch.json`` records the reference
@@ -119,6 +119,7 @@ def grid_walls(sweep):
         return None  # meaningless without the fused kernel; gate skips
     walls = {}
     meta_seconds = {}
+    algorithm_seconds = {}
     for label, algos in (("table1", DEFAULT_TABLE1_ALGORITHMS),
                          ("table2", DEFAULT_TABLE2_ALGORITHMS)):
         t0 = time.perf_counter()
@@ -131,7 +132,9 @@ def grid_walls(sweep):
                 per[r.algorithm] += r.seconds
         meta_seconds[label] = sum(v for k, v in per.items()
                                   if k.startswith("META") and k != "METAGREEDY")
-    return {"walls": walls, "meta_solve_seconds": meta_seconds}
+        algorithm_seconds[label] = dict(per)
+    return {"walls": walls, "meta_solve_seconds": meta_seconds,
+            "algorithm_seconds": algorithm_seconds}
 
 
 def test_batch_speedup_and_record(sweep, grid_walls, emit, write_bench,
@@ -165,9 +168,15 @@ def test_batch_speedup_and_record(sweep, grid_walls, emit, write_bench,
             "meta_solve_seconds": {
                 k: round(v, 2)
                 for k, v in grid_walls["meta_solve_seconds"].items()},
+            "algorithm_seconds": {
+                grid: {algo: round(v, 2) for algo, v in per.items()}
+                for grid, per in grid_walls["algorithm_seconds"].items()},
             "note": ("wall includes the non-kernel baselines "
                      "(RRND/RRNZ/METAGREEDY); meta_solve_seconds is the "
-                     "batched META* share"),
+                     "batched META* share; algorithm_seconds sums each "
+                     "algorithm's per-instance seconds, and RRND's and "
+                     "RRNZ's each include the LP relaxation they share, "
+                     "so they can add up to more than the wall"),
         },
     }
     write_bench("BENCH_batch.json", record)
@@ -175,7 +184,7 @@ def test_batch_speedup_and_record(sweep, grid_walls, emit, write_bench,
         host = json.load(fh)["host"]
     assert host["cpu_count"] == os.cpu_count()
     assert host["kernel_backend"] == sweep["backend"]
-    assert {"platform", "python", "numpy"} <= host.keys()
+    assert {"platform", "python", "numpy", "c_compiler"} <= host.keys()
 
     if not sweep["fused"]:
         pytest.skip("backend has no fused probe scan; no speedup to gate")

@@ -15,6 +15,10 @@ fractional placement matrix ``e`` as a per-service probability table:
 
 After placement, yields are assigned per node with the closed-form max-min
 computation, exactly as for the greedy family.
+
+Both draw from the same relaxation, so the experiment runner solves it
+once per instance (:func:`relax`) and hands it to each algorithm's
+``from_relaxation``; called on its own, each algorithm solves it itself.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ from ..core.exceptions import InfeasibleProblemError, SolverError
 from ..core.instance import ProblemInstance
 from ..core.resources import STRICT_FIT_ATOL
 from ..lp.relaxation import placement_probabilities
-from ..lp.solver import solve_relaxation
+from ..lp.solver import LpSolution, solve_relaxation
 from ..util.rng import as_generator
 from .base import NamedAlgorithm
 
-__all__ = ["rrnd", "rrnz", "round_probabilities", "DEFAULT_EPSILON"]
+__all__ = ["rrnd", "rrnz", "relax", "round_probabilities", "DEFAULT_EPSILON"]
 
 DEFAULT_EPSILON = 0.01
 
@@ -68,21 +72,44 @@ def round_probabilities(instance: ProblemInstance, probs: np.ndarray,
     return placement
 
 
-def _rounding_algorithm(name: str, epsilon: float) -> NamedAlgorithm:
-    def solve(instance: ProblemInstance,
-              rng: np.random.Generator | None = None) -> Optional[Allocation]:
-        rng = as_generator(rng)
-        try:
-            relaxed = solve_relaxation(instance)
-        except (InfeasibleProblemError, SolverError):
+def relax(instance: ProblemInstance) -> Optional[LpSolution]:
+    """The instance's LP relaxation, or ``None`` when it is infeasible or
+    the solver fails (both roundings then fail)."""
+    try:
+        return solve_relaxation(instance)
+    except (InfeasibleProblemError, SolverError):
+        return None
+
+
+class _Rounding:
+    """RRND/RRNZ's solve: the relaxation, then one seeded draw from it.
+
+    :meth:`from_relaxation` is the draw alone, so a caller running both
+    roundings on one instance can solve the LP once and share it.
+    """
+
+    def __init__(self, epsilon: float):
+        self.epsilon = epsilon
+
+    def __call__(self, instance: ProblemInstance,
+                 rng: np.random.Generator | None = None) -> Optional[Allocation]:
+        return self.from_relaxation(instance, relax(instance), rng)
+
+    def from_relaxation(self, instance: ProblemInstance,
+                        relaxed: Optional[LpSolution],
+                        rng: np.random.Generator | None = None
+                        ) -> Optional[Allocation]:
+        if relaxed is None:
             return None
-        probs = placement_probabilities(relaxed, epsilon=epsilon)
-        placement = round_probabilities(instance, probs, rng)
+        probs = placement_probabilities(relaxed, epsilon=self.epsilon)
+        placement = round_probabilities(instance, probs, as_generator(rng))
         if placement is None:
             return None
         return Allocation.uniform(instance, placement, 0.0).improve_yields()
 
-    return NamedAlgorithm(name, solve, stochastic=True)
+
+def _rounding_algorithm(name: str, epsilon: float) -> NamedAlgorithm:
+    return NamedAlgorithm(name, _Rounding(epsilon), stochastic=True)
 
 
 def rrnd() -> NamedAlgorithm:

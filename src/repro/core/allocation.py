@@ -25,7 +25,8 @@ from .exceptions import InvalidAllocationError
 from .instance import ProblemInstance
 from .resources import FEASIBILITY_ATOL, FEASIBILITY_RTOL
 
-__all__ = ["Allocation", "max_min_yield_on_node", "node_loads", "uniform_yield_demands"]
+__all__ = ["Allocation", "improved_yields", "max_min_yield_on_node", "node_loads",
+           "uniform_yield_demands"]
 
 UNPLACED = -1
 
@@ -188,21 +189,98 @@ class Allocation:
 
         Packing heuristics certify a *uniform* yield via binary search; the
         final allocation can usually do better on under-loaded nodes.  This
-        post-pass recomputes, per node, the closed-form max-min yield of the
-        services actually placed there, and never lowers any yield below the
-        certified value.
+        post-pass gives every placed service
+        ``max(its yield, y_h)``, where ``y_h`` is
+        :func:`max_min_yield_on_node` of the services placed on its node
+        *h*: a yield is never lowered, nodes infeasible at ``y = 0`` keep
+        their yields, and unplaced services are untouched.  All nodes are
+        computed at once by :func:`improved_yields`, bit for bit what the
+        per-node closed form gives.
         """
-        inst = self.instance
-        new_yields = self.yields.copy()
-        for h in range(inst.num_nodes):
-            members = np.flatnonzero(self.placement == h)
-            if members.size == 0:
-                continue
-            sv = inst.services
-            y = max_min_yield_on_node(
-                inst.nodes.elementary[h], inst.nodes.aggregate[h],
-                sv.req_elem[members], sv.req_agg[members],
-                sv.need_elem[members], sv.need_agg[members])
-            if y >= 0:
-                new_yields[members] = np.maximum(new_yields[members], y)
-        return Allocation(inst, self.placement.copy(), new_yields)
+        return Allocation(self.instance, self.placement.copy(),
+                          improved_yields(self.instance, self.placement,
+                                          self.yields))
+
+
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row sums of consecutive segments of *values*, ``(len(counts), D)``.
+
+    Segment *s* is the next ``counts[s]`` rows.  Segments of equal length
+    K are summed together as one ``(n, K, D)`` block along axis 1, which
+    numpy reduces exactly as it reduces one segment's ``(K, D)`` rows
+    along axis 0 — so each sum equals :func:`max_min_yield_on_node`'s
+    ``.sum(axis=0)`` bit for bit.  (An ``np.add.at`` accumulation adds
+    strictly left to right, which differs for ``D = 1``: there numpy
+    sums eight or more rows pairwise.)
+    """
+    out = np.zeros((counts.size, values.shape[1]))
+    starts = np.cumsum(counts) - counts
+    for k in np.unique(counts[counts > 0]):
+        segs = np.flatnonzero(counts == k)
+        out[segs] = values[starts[segs, None] + np.arange(k)].sum(axis=1)
+    return out
+
+
+def improved_yields(instance: ProblemInstance, placement: np.ndarray,
+                    yields: np.ndarray) -> np.ndarray:
+    """The yields :meth:`Allocation.improve_yields` returns, for one
+    placement ``(J,)`` or a stack of them ``(U, J)``.
+
+    Segment reductions of :func:`max_min_yield_on_node`'s closed form
+    over every (placement row, node) pair at once: requirement and need
+    sums per node, ``np.minimum.at`` of the per-service elementary
+    headroom, and the same feasibility tests at ``y = 0``.  *yields*
+    broadcasts against *placement*; the result has *placement*'s shape.
+    """
+    P = np.asarray(placement, dtype=np.int64)
+    J, H = P.shape[-1], instance.num_nodes
+    Y = np.broadcast_to(np.asarray(yields, dtype=np.float64), P.shape)
+    U = int(np.prod(P.shape[:-1]))
+    P2, out = P.reshape(U, J), Y.reshape(U, J).copy()
+    sv, nd = instance.services, instance.nodes
+
+    # Placed services grouped by (row, node) segment, ascending j inside.
+    row, svc = np.nonzero(P2 >= 0)
+    seg = row * H + P2[row, svc]
+    order = np.argsort(seg, kind="stable")
+    row, svc, seg = row[order], svc[order], seg[order]
+    node = seg % H
+    nseg = U * H
+    counts = np.bincount(seg, minlength=nseg)
+
+    # Feasibility at y = 0: every requirement fits, elementary and aggregate.
+    infeasible = np.zeros(nseg, dtype=bool)
+    elem_bad = (sv.req_elem[svc]
+                > (nd.elementary + FEASIBILITY_ATOL)[node]).any(axis=1)
+    infeasible[seg[elem_bad]] = True
+    agg_req = _segment_sums(sv.req_agg[svc], counts)
+    agg_need = _segment_sums(sv.need_agg[svc], counts)
+    cap_agg = np.tile(nd.aggregate, (U, 1))
+    cap_tol = np.tile(nd.aggregate * (1 + FEASIBILITY_RTOL) + FEASIBILITY_ATOL,
+                      (U, 1))
+    infeasible |= (agg_req > cap_tol).any(axis=1)
+
+    # Elementary: r^e + y n^e <= c^e for every service and dimension.
+    need_elem = sv.need_elem[svc]
+    headroom = np.full(need_elem.shape, np.inf)
+    np.divide(nd.elementary[node] - sv.req_elem[svc], need_elem,
+              out=headroom, where=need_elem > 0)
+    y_elem = np.full(nseg, np.inf)
+    np.minimum.at(y_elem, seg, headroom.min(axis=1))
+    # Aggregate: sum(r^a) + y sum(n^a) <= c^a per dimension.
+    agg_head = np.full(agg_need.shape, np.inf)
+    np.divide(cap_agg - agg_req, agg_need, out=agg_head, where=agg_need > 0)
+    y_agg = agg_head.min(axis=1)
+
+    # min(1, elementary, aggregate) clamped to [0, 1], with the scalar
+    # min/max tie and NaN rules of the per-node closed form.
+    y = np.where(y_elem < 1.0, y_elem, 1.0)
+    y = np.where(y_agg < y, y_agg, y)
+    y = np.where(y > 0.0, y, 0.0)
+    y = np.where(y < 1.0, y, 1.0)
+    y[infeasible] = -1.0
+
+    y_svc = y[seg]
+    cur = out[row, svc]
+    out[row, svc] = np.where(y_svc >= 0, np.maximum(cur, y_svc), cur)
+    return out.reshape(P.shape)

@@ -32,7 +32,10 @@ from ..algorithms import (
     rrnd,
     rrnz,
 )
+from .. import obs
 from ..algorithms.base import NamedAlgorithm
+from ..algorithms.rounding import relax
+from ..lp.solver import LpSolution
 from ..util.parallel import parallel_imap_cached
 from ..util.rng import derive_seed
 from ..util.timing import timed_call
@@ -124,9 +127,12 @@ def _run_task_batch(tasks: Sequence[_Task]) -> list[TaskResult]:
     every solve is cold (no hint crosses algorithms or instances — the
     META* oracle is not monotone, so a hint could change the certified
     yield), and stochastic algorithms draw from coordinate-derived
-    streams.  Only the dispatch is shared — for each META* algorithm the
-    whole block of instances goes through one :meth:`solve_many` call,
-    so the kernel layer sees batches instead of singletons.
+    streams.  Only work is shared — for each META* algorithm the whole
+    block of instances goes through one :meth:`solve_many` call, so the
+    kernel layer sees batches instead of singletons, and RRND and RRNZ
+    share one LP relaxation per instance.  Each algorithm's ``seconds``
+    stays its standalone cost: a rounding's draw plus the shared LP's
+    measured seconds.
     """
     tasks = list(tasks)
     shared = tasks[0]
@@ -137,6 +143,10 @@ def _run_task_batch(tasks: Sequence[_Task]) -> list[TaskResult]:
     instances = [generate_instance(t.config) for t in tasks]
     B = len(tasks)
     rows: list[list[AlgorithmResult]] = [[] for _ in range(B)]
+    # RRND and RRNZ round the same LP relaxation: solve it once per
+    # instance, on first use, and charge its seconds to each of them.
+    relaxations: list[Optional[tuple[Optional[LpSolution], float]]] = (
+        [None] * B)
     for name in shared.algorithms:
         algo = ALGORITHM_FACTORIES[name]()
         fn = getattr(algo, "fn", algo)
@@ -148,19 +158,29 @@ def _run_task_batch(tasks: Sequence[_Task]) -> list[TaskResult]:
                 min_yield = None if alloc is None else alloc.minimum_yield()
                 rows[i].append(AlgorithmResult(
                     name, min_yield, stats_list[i]["seconds"]))
-        else:
-            for i, task in enumerate(tasks):
-                # Stochastic algorithms get a stream derived from the
-                # instance coordinates plus the algorithm name, so
-                # adding/removing algorithms never perturbs the others'
-                # draws.
-                rng = np.random.default_rng(
-                    derive_seed(task.config.seed,
-                                task.config.instance_index,
-                                _algo_stream_id(name)))
+            continue
+        for i, task in enumerate(tasks):
+            # Stochastic algorithms get a stream derived from the
+            # instance coordinates plus the algorithm name, so
+            # adding/removing algorithms never perturbs the others'
+            # draws.
+            rng = np.random.default_rng(
+                derive_seed(task.config.seed, task.config.instance_index,
+                            _algo_stream_id(name)))
+            if hasattr(fn, "from_relaxation"):
+                if relaxations[i] is None:
+                    span = obs.timed_span("lp.relax")
+                    with span:
+                        relaxed = relax(instances[i])
+                    relaxations[i] = (relaxed, span.duration)
+                relaxed, lp_seconds = relaxations[i]
+                alloc, seconds = timed_call(fn.from_relaxation, instances[i],
+                                            relaxed, rng=rng)
+                seconds += lp_seconds
+            else:
                 alloc, seconds = timed_call(algo, instances[i], rng=rng)
-                min_yield = None if alloc is None else alloc.minimum_yield()
-                rows[i].append(AlgorithmResult(name, min_yield, seconds))
+            min_yield = None if alloc is None else alloc.minimum_yield()
+            rows[i].append(AlgorithmResult(name, min_yield, seconds))
     return [TaskResult(t.config, tuple(rows[i]))
             for i, t in enumerate(tasks)]
 

@@ -9,7 +9,9 @@ speed-up of §5.1.
 
 Declared as a :class:`~.spec.GridExperiment`.  Table 2 reports
 *standalone* run times; every grid solves each algorithm cold, so no
-solve is accelerated by a sibling algorithm's answer.
+solve is accelerated by a sibling algorithm's answer.  RRND and RRNZ
+share one LP relaxation per instance, and each one's seconds include
+that solve's measured time.
 """
 
 from __future__ import annotations

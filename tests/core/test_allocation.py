@@ -220,6 +220,103 @@ class TestImproveYields:
         assert alloc.minimum_yield() >= 0.6 - 1e-12
 
 
+def reference_improved_yields(inst, placement, yields):
+    """The per-node loop ``improve_yields`` replaced: the closed form of
+    :func:`max_min_yield_on_node` on each node's members in turn."""
+    sv, nd = inst.services, inst.nodes
+    new = np.array(yields, dtype=np.float64, copy=True)
+    for h in range(inst.num_nodes):
+        members = np.flatnonzero(placement == h)
+        if members.size == 0:
+            continue
+        y = max_min_yield_on_node(
+            nd.elementary[h], nd.aggregate[h],
+            sv.req_elem[members], sv.req_agg[members],
+            sv.need_elem[members], sv.need_agg[members])
+        if y >= 0:
+            new[members] = np.maximum(new[members], y)
+    return new
+
+
+def random_crowded_instance(rng, H, J, D):
+    """Nodes holding many services each, with zero needs in places and
+    some nodes too small for their services' requirements."""
+    elem = rng.uniform(0.2, 1.0, (H, D))
+    agg = elem * rng.integers(1, 8, (H, 1))
+    agg[rng.random(H) < 0.3] *= 0.05  # often infeasible at y = 0
+    req_elem = rng.uniform(0.0, 0.3, (J, D))
+    need_elem = rng.uniform(0.0, 0.5, (J, D)) * (rng.random((J, D)) < 0.8)
+    req_agg = req_elem * rng.uniform(1.0, 2.0, (J, 1))
+    need_agg = need_elem * rng.uniform(1.0, 2.0, (J, 1))
+    # Scale so sums over a node reach its capacity in some dimensions.
+    scale = agg.sum() / max(req_agg.sum() + need_agg.sum(), 1e-9)
+    from repro.core.node import NodeArray
+    from repro.core.service import ServiceArray
+    services = ServiceArray.from_arrays(
+        req_elem * min(scale, 1.0), req_agg * scale,
+        need_elem * min(scale, 1.0), need_agg * scale)
+    return ProblemInstance(NodeArray.from_arrays(elem, agg), services)
+
+
+class TestImprovedYieldsEquivalence:
+    """The segment-reduced ``improve_yields`` equals the per-node loop
+    bit for bit: unplaced services, empty nodes, nodes infeasible at
+    y = 0, input yields above a node's closed form (never lowered), and
+    D = 1, where numpy sums eight or more rows pairwise."""
+
+    @staticmethod
+    def check(seed, D, H, J):
+        rng = np.random.default_rng(seed)
+        inst = random_crowded_instance(rng, H, J, D)
+        # Leave some nodes empty and some services unplaced.
+        used = rng.choice(H, size=max(1, H - 1), replace=False)
+        placement = rng.choice(used, size=J)
+        placement[rng.random(J) < 0.15] = UNPLACED
+        yields = np.where(placement >= 0,
+                          rng.uniform(0.0, 1.0, J) * (rng.random(J) < 0.5),
+                          0.0)
+        got = Allocation(inst, placement, yields).improve_yields().yields
+        want = reference_improved_yields(inst, placement, yields)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_node_loop(self, seed, D):
+        self.check(seed, D, H=2 + seed % 4, J=10 + 5 * seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), D=st.sampled_from([1, 2, 3]),
+           H=st.integers(1, 6), J=st.integers(0, 70))
+    def test_matches_per_node_loop_random(self, seed, D, H, J):
+        self.check(seed, D, H, J)
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_batched_rows_match_one_at_a_time(self, D):
+        from repro.core.allocation import improved_yields
+        rng = np.random.default_rng(D)
+        inst = random_crowded_instance(rng, 4, 40, D)
+        placements = rng.integers(-1, 4, (7, 40))
+        yields = rng.uniform(0.0, 0.4, (7, 40))
+        batched = improved_yields(inst, placements, yields)
+        for u in range(7):
+            want = reference_improved_yields(inst, placements[u], yields[u])
+            assert batched[u].tobytes() == want.tobytes()
+
+    def test_covers_the_hard_cases(self):
+        # The generator above does reach every case the docstring names.
+        rng = np.random.default_rng(0)
+        inst = random_crowded_instance(rng, 5, 60, 1)
+        placement = rng.integers(-1, 4, 60)
+        sv, nd = inst.services, inst.nodes
+        ys = [max_min_yield_on_node(
+                  nd.elementary[h], nd.aggregate[h],
+                  sv.req_elem[placement == h], sv.req_agg[placement == h],
+                  sv.need_elem[placement == h], sv.need_agg[placement == h])
+              for h in range(4)]
+        assert -1.0 in ys and (placement == UNPLACED).any()
+        assert np.bincount(placement[placement >= 0]).max() >= 8
+
+
 class TestProblemInstance:
     def test_dims_mismatch_rejected(self):
         from repro.core.exceptions import DimensionMismatchError

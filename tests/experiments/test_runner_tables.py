@@ -6,6 +6,7 @@ runs in seconds while still exercising every code path.
 
 import functools
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
@@ -133,6 +134,83 @@ class TestPathIndependence:
             assert _yields(configs, (algo,), workers, batch) == reference
         if grid == "counter-example":
             assert full[(0, "METAVP")] == pytest.approx(0.500888, abs=1e-6)
+
+
+class TestBaselineLp:
+    def test_heuristics_stay_under_the_lp_bound(self):
+        """The relaxation bounds the optimum (§3.2), so no Table 1
+        heuristic's min yield may exceed it; an instance whose
+        relaxation is infeasible has no solution at all."""
+        from repro.core.exceptions import InfeasibleProblemError
+        from repro.lp import solve_relaxation
+        from repro.workloads import generate_instance
+        checked = 0
+        for task in run_grid(SMOKE_GRID.configs(), DEFAULT_TABLE1_ALGORITHMS,
+                             workers=1, batch=4):
+            try:
+                bound = solve_relaxation(generate_instance(task.config)
+                                         ).min_yield
+            except InfeasibleProblemError:
+                bound = None
+            for r in task.results:
+                if r.min_yield is None:
+                    continue
+                assert bound is not None, (task.config.label(), r.algorithm)
+                assert r.min_yield <= bound + 1e-6, (
+                    task.config.label(), r.algorithm, r.min_yield, bound)
+                checked += 1
+        assert checked >= len(DEFAULT_TABLE1_ALGORITHMS)
+
+    def test_roundings_share_one_lp_and_each_pay_for_it(self, monkeypatch):
+        """RRND and RRNZ on one instance cost one LP solve, and each
+        one's ``seconds`` still includes that solve."""
+        import time
+        from repro.algorithms import rounding
+        calls = []
+        solve = rounding.solve_relaxation
+
+        def slow_solve(instance):
+            calls.append(instance)
+            time.sleep(0.05)
+            return solve(instance)
+
+        monkeypatch.setattr(rounding, "solve_relaxation", slow_solve)
+        configs = list(SMOKE_GRID.configs())
+        results = run_grid(configs, ("RRND", "RRNZ"), workers=1)
+        assert len(calls) == len(configs)
+        for task in results:
+            assert all(r.seconds >= 0.05 for r in task.results)
+        # Sharing changes no draw: each result is the standalone call's.
+        from repro.experiments.runner import _algo_stream_id
+        from repro.util.rng import derive_seed
+        from repro.workloads import generate_instance
+        monkeypatch.undo()
+        for task in results:
+            instance = generate_instance(task.config)
+            for r in task.results:
+                rng = np.random.default_rng(derive_seed(
+                    task.config.seed, task.config.instance_index,
+                    _algo_stream_id(r.algorithm)))
+                alone = ALGORITHM_FACTORIES[r.algorithm]()(instance, rng=rng)
+                assert r.min_yield == (None if alone is None
+                                       else alone.minimum_yield())
+
+    def test_baseline_spans(self, tmp_path):
+        """Traced runs show one ``lp.relax`` and one ``greedy.scan`` span
+        per instance."""
+        import json
+        from repro import obs
+        path = tmp_path / "trace.jsonl"
+        configs = list(SMOKE_GRID.configs())
+        obs.configure(str(path))
+        try:
+            run_grid(configs, ("RRND", "RRNZ", "METAGREEDY"), workers=1)
+        finally:
+            obs.disable()
+        names = [json.loads(line)["name"]
+                 for line in path.read_text().splitlines()]
+        assert names.count("lp.relax") == len(configs)
+        assert names.count("greedy.scan") == len(configs)
 
 
 class TestTable1:
